@@ -43,11 +43,7 @@ def parse_map(text: str) -> LinearMap2:
     factory = _MAP_FACTORIES.get(head)
     if factory is None or not sep:
         raise SectorPackError(f"unknown transform {text!r} (want lambda:S, m:S, phi:S, psi:R)")
-    try:
-        value = int(param)
-    except ValueError:
-        raise SectorPackError(f"malformed transform parameter {param!r}") from None
-    return factory(value)
+    return factory(_strict_int(param))
 
 
 def _order_for(sector: Sector, name: str) -> EnumerationOrder:
@@ -85,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("unrank", "point with a given rank under a packing family")
     p.add_argument("--family", required=True)
-    p.add_argument("--rank", required=True, type=int)
+    p.add_argument("--rank", required=True, type=_strict_int)
 
     p = add("enumerate", "first points of a sector in a stated order",
             formats=("text", "json", "csv"))
@@ -93,20 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True,
                    help="diagonal, reverse-diagonal, column-bottom-up, column-top-down, "
                         "block-bottom-up, block-top-down, residue-interleaved")
-    p.add_argument("--count", required=True, type=int)
+    p.add_argument("--count", required=True, type=_strict_int)
 
     p = add("verify", "check the packing property on a prefix of the sector")
     p.add_argument("--family", help="verify a built-in family")
     p.add_argument("--poly", help="verify a serialized polynomial (needs --slope)")
     p.add_argument("--slope", help="sector for --poly")
-    p.add_argument("--prefix", type=int, default=1000)
+    p.add_argument("--prefix", type=_strict_int, default=1000)
 
     p = add("search", "exhaustive bounded coefficient search for packing candidates",
             default_format="json")
     p.add_argument("--slope", required=True)
-    p.add_argument("--bound", type=int, default=4, help="half-integer coefficient bound")
-    p.add_argument("--prefix", type=int, default=1000)
-    p.add_argument("--degree", type=int, choices=(1, 2), default=2)
+    p.add_argument("--bound", type=_strict_int, default=4, help="half-integer coefficient bound")
+    p.add_argument("--prefix", type=_strict_int, default=1000)
+    p.add_argument("--degree", type=_strict_int, choices=(1, 2), default=2)
 
     p = add("basis", "free basis of the sector semigroup, if it exists")
     p.add_argument("--slope", required=True)
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("layout", "fill a sector array densely and dump offset,x,y",
             formats=("text", "json", "csv"), default_format="csv")
     p.add_argument("--family", required=True)
-    p.add_argument("--count", required=True, type=int)
+    p.add_argument("--count", required=True, type=_strict_int)
 
     return parser
 

@@ -10,16 +10,32 @@ sector: values must be nonnegative integers, pairwise distinct, and cover
 `prefix` points so that every preimage of a small value is actually looked
 at.
 
-The search tools sweep the half-integer coefficient lattice (every
-integer-valued quadratic on the integer lattice lives there), funnel
-candidates through exact vectorized screens, and certify the survivors with
-`verify_packing` itself.  Results are deterministic regardless of worker
-count: the lattice is partitioned into chunks and survivors are re-sorted.
+The search tools sweep the box of half-integer coefficients |c| <= bound
+through a funnel of exact int64 screens, and certify the survivors with
+`verify_packing` itself:
+
+1. Only integer-valued candidates are built: the integer combinations of
+   Polya's binomial basis C(x,2), xy, C(y,2), x, y, 1, with f(0,0) >= 0 as
+   (0,0) is always examined.  A candidate off this sublattice takes a
+   non-integer value on every lattice triangle {(a+i, b+j) : i+j <= 2}, so
+   when the examined region holds such a triangle the screens would reject
+   it anyway.  A region without one (only tiny prefixes) falls back to the
+   full box.  Either way `exhausted` means the whole box was covered: every
+   candidate skipped is proved to fail.
+2. A screen on the first 48 region points, then on the first 512, then on
+   the whole region: evenness, nonnegativity, the coverage count, and last,
+   on the rows left, distinctness.
+
+The box is cut into chunks of at most _CHUNK_ROWS candidates whatever the
+bound.  Results are deterministic regardless of worker count: survivors are
+re-sorted.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -284,7 +300,14 @@ class SearchReport:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-_SCREEN_POINTS = 48  # small first-stage screen; stage two re-checks on the whole region
+_SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
+_MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
+_FULL_SCREEN_SLICE = 1024  # rows per batch of the later tiers, to cap the value matrix size
+_CHUNK_ROWS = 1 << 17  # candidate rows per chunk at most, whatever the bound
+_COLUMNS = {1: 3, 2: 6}  # numerator columns a candidate row has, by degree
+
+# The lattice triangle {(i, j) : i + j <= 2}, as offsets from its corner.
+_TRIANGLE = tuple((i, j) for i in range(3) for j in range(3 - i))
 
 # worker payload, installed once per process by _search_init
 _WORK: dict = {}
@@ -294,47 +317,96 @@ def _search_init(payload: dict) -> None:
     _WORK.update(payload)
 
 
+def _has_triangle(points: list[Point]) -> bool:
+    """Whether the points hold a translate of _TRIANGLE.
+
+    A quadratic with integer values on such a triangle has integer values on
+    all of Z^2: its coefficients in the binomial basis C(x,2), xy, C(y,2), x,
+    y, 1 about the corner are integer differences of those six values.
+    """
+    have = set(points)
+    return any(all((a + i, b + j) in have for i, j in _TRIANGLE) for a, b in points)
+
+
+def _cosets(columns: int, bound: int, sublattice: bool) -> list[tuple[range, ...]]:
+    """The candidate numerator tuples as disjoint boxes, one range per column.
+
+    Columns are (k20, k11, k02, k10, k01, k00), or (k10, k01, k00) for degree
+    1.  The full box has every |k| <= bound.  An integer-valued quadratic is
+    a*C(x,2) + b*xy + c*C(y,2) + d*x + e*y + g with integers a..g (Polya), so
+    on its sublattice k11 and k00 are even, k10 = k20 and k01 = k02 (mod 2),
+    and k00 = 2f(0,0) >= 0; the parities of k20 and k02 pick the coset.  For
+    degree 1, k10, k01 and k00 are even.  `bound` is even.
+    """
+    if not sublattice:
+        return [(range(-bound, bound + 1),) * columns]
+    parity = [range(-bound + p, bound + 1, 2) for p in (0, 1)]
+    k00 = range(0, bound + 1, 2)
+    if columns == 3:
+        return [(parity[0], parity[0], k00)]
+    return [(parity[p], parity[0], parity[q], parity[p], parity[q], k00)
+            for p in (0, 1) for q in (0, 1)]
+
+
+def _chunk_plan(degree: int, bound: int, sublattice: bool) -> dict[tuple[range, ...], int]:
+    """Boxes of leading-column values -> candidate rows per chunk.
+
+    Each point of a box keys one chunk.  Two cosets have equal or disjoint
+    leading ranges, so the boxes are disjoint.  Quadratic sweeps split on
+    (k20, k11) at least; either degree splits on further leading columns
+    while a chunk would exceed _CHUNK_ROWS rows.
+    """
+    cosets = _cosets(_COLUMNS[degree], bound, sublattice)
+    for depth in range(2 if degree == 2 else 0, _COLUMNS[degree] + 1):
+        plan: dict[tuple[range, ...], int] = {}
+        for box in cosets:
+            head = box[:depth]
+            plan[head] = plan.get(head, 0) + math.prod(len(r) for r in box[depth:])
+        if max(plan.values()) <= _CHUNK_ROWS:  # single rows at the latest
+            break
+    return plan
+
+
 def _candidate_rows(fixed: tuple[int, ...], free: int, bound: int) -> np.ndarray:
-    """Candidate numerator tuples: `fixed` columns then a full grid over `free` columns."""
-    span = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([span] * free), indexing="ij")
-    rows = np.column_stack([g.reshape(-1) for g in grids])
-    if fixed:
-        head = np.tile(np.array(fixed, dtype=np.int64), (rows.shape[0], 1))
-        rows = np.hstack([head, rows])
-    return rows
+    """Candidate numerator tuples of one chunk: the `fixed` leading columns, then
+    every completion of the `free` trailing ones in the swept set (see _cosets)."""
+    blocks = []
+    for box in _cosets(len(fixed) + free, bound, _WORK["sublattice"]):
+        if all(v in r for v, r in zip(fixed, box)):
+            axes = [np.array([v], dtype=np.int64) for v in fixed]
+            axes += [np.arange(r.start, r.stop, r.step, dtype=np.int64) for r in box[len(fixed):]]
+            grids = np.meshgrid(*axes, indexing="ij")
+            blocks.append(np.column_stack([g.reshape(-1) for g in grids]))
+    return np.concatenate(blocks)
 
 
 def _screen(rows: np.ndarray, basis: np.ndarray, prefix: int | None) -> np.ndarray:
-    """Exact int64 filter: evenness, nonnegativity, distinctness, and (full stage)
-    coverage of {0..prefix-1}, which for distinct nonnegative integers is just a count."""
+    """Exact int64 filter: evenness, nonnegativity, distinctness, and (full tier)
+    coverage of {0..prefix-1}, which for distinct nonnegative integers is just a
+    count; the count runs first, as it is cheaper than the sort it spares."""
     values = rows @ basis.T  # 2*f at each point, exactly
     keep = ((values & 1) == 0).all(axis=1) & (values >= 0).all(axis=1)
+    if prefix is not None:
+        keep &= (values < 2 * prefix).sum(axis=1) == prefix
     rows, values = rows[keep], values[keep]
     if rows.size:
         ordered = np.sort(values, axis=1)
-        keep = (np.diff(ordered, axis=1) != 0).all(axis=1)
-        rows, values = rows[keep], values[keep]
-    if prefix is not None and rows.size:
-        keep = (values < 2 * prefix).sum(axis=1) == prefix
-        rows = rows[keep]
+        rows = rows[(np.diff(ordered, axis=1) != 0).all(axis=1)]
     return rows
 
 
-_FULL_SCREEN_SLICE = 1024  # rows per full-region batch, to cap the value matrix size
-
-
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Screen one slice of the coefficient lattice; returns surviving numerator tuples."""
-    rows = _candidate_rows(fixed, _WORK["free"], _WORK["bound"])
+    """Screen one chunk of the coefficient lattice; returns surviving numerator tuples."""
+    rows = _candidate_rows(fixed, _COLUMNS[_WORK["degree"]] - len(fixed), _WORK["bound"])
     if _WORK["degree"] == 1:
         rows = np.hstack([np.zeros((rows.shape[0], 3), dtype=np.int64), rows])
     rows = _screen(rows, _WORK["screen_basis"], None)
     out: list[tuple[int, ...]] = []
     for start in range(0, rows.shape[0], _FULL_SCREEN_SLICE):
-        batch = _screen(rows[start:start + _FULL_SCREEN_SLICE],
-                        _WORK["full_basis"], _WORK["prefix"])
-        out.extend(tuple(int(v) for v in row) for row in batch)
+        batch = _screen(rows[start:start + _FULL_SCREEN_SLICE], _WORK["middle_basis"], None)
+        if batch.size:
+            batch = _screen(batch, _WORK["full_basis"], _WORK["prefix"])
+        out.extend(map(tuple, batch.tolist()))
     return out
 
 
@@ -367,36 +439,38 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     if worst >= 2 ** 62:
         raise SectorPackError("search region too large for the integer screen")
 
+    # a candidate off the integer-valued sublattice is odd somewhere on any
+    # lattice triangle, so with one in the region the screen would reject it
+    sublattice = _has_triangle(points)
     payload = {
         "degree": degree,
         "bound": bound,
         "prefix": prefix,
+        "sublattice": sublattice,
         "screen_basis": full_basis[:_SCREEN_POINTS],
+        "middle_basis": full_basis[:_MIDDLE_POINTS],
         "full_basis": full_basis,
-        "free": 3 if degree == 1 else 4,
     }
-    if degree == 1:
-        chunks = [()]  # one grid over (x, y, 1) numerators
-    else:
-        span = range(-bound, bound + 1)
-        chunks = [(k20, k11) for k20 in span for k11 in span]
+    plan = _chunk_plan(degree, bound, sublattice)
+    total = sum(math.prod(len(r) for r in head) for head in plan)
+    chunks = itertools.chain.from_iterable(itertools.product(*head) for head in plan)
 
     if workers is None:
         workers = os.cpu_count() or 1
     found: list[tuple[int, ...]] = []
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1 and total > 1:
         with multiprocessing.Pool(workers, initializer=_search_init,
                                   initargs=(payload,)) as pool:
             for done, part in enumerate(pool.imap(_search_chunk, chunks), 1):
                 found.extend(part)
                 if progress:
-                    progress(done, len(chunks))
+                    progress(done, total)
     else:
         _search_init(payload)
         for done, fixed in enumerate(chunks, 1):
             found.extend(_search_chunk(fixed))
             if progress:
-                progress(done, len(chunks))
+                progress(done, total)
 
     # Final certification runs through verify_packing itself, independently of
     # the vectorized screen.

@@ -22,9 +22,24 @@ class TestParsers:
 
     def test_parse_map(self):
         assert parse_map("lambda:2") == lambda_map(2)
-        for bad in ("lambda", "rho:2", "lambda:x", "psi:0"):
+        for bad in ("lambda", "rho:2", "lambda:x", "psi:0", "lambda:+3", "lambda:1_000",
+                    "lambda: 7"):
             with pytest.raises(SectorPackError):
                 parse_map(bad)
+
+    @pytest.mark.parametrize("token", ["+3", "1_000", " 7"])
+    def test_integer_options_are_strict(self, capsys, token):
+        for argv in (["unrank", "--family", "cantor-f", "--rank", token],
+                     ["enumerate", "--slope", "1", "--order", "column-bottom-up", "--count", token],
+                     ["verify", "--family", "cantor-f", "--prefix", token],
+                     ["search", "--slope", "1", "--bound", token],
+                     ["search", "--slope", "1", "--prefix", token],
+                     ["layout", "--family", "cantor-f", "--count", token]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        status, out, _ = run(capsys, "transform", "--family", "lambda:" + token)
+        assert (status, out) == (1, "")
 
 
 class TestEval:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 from sectorpack import (QuadPoly, Sector, SectorPackError, Slope, cantor,
                         divides, enumerate_sector, linear_impossibility_check,
-                        order_for_family, quasi_h, search_quadratic, steep,
-                        verify_packing)
+                        order_for_family, parse_slope, quasi_h, search_quadratic,
+                        steep, verify, verify_packing)
 from sectorpack.verify import (COLUMN_BOTTOM_UP, COLUMN_TOP_DOWN, DIAGONAL,
                                REVERSE_DIAGONAL, block_bottom_up,
                                block_top_down, residue_interleaved)
@@ -158,6 +159,66 @@ class TestSearch:
         obj = json.loads(report.to_json())
         assert obj["survivors"] == [{"x2": "1/2", "x": "1/2", "y": "1"},
                                     {"x2": "1/2", "x": "3/2", "y": "-1"}]
+
+
+class TestSearchOracle:
+    """The funnel against verify_packing run on every candidate of the bound-1 box."""
+
+    @pytest.fixture(scope="class")
+    def box(self):
+        return [(nums, QuadPoly(*(Fraction(k, 2) for k in nums)))
+                for nums in itertools.product(range(-2, 3), repeat=6)]
+
+    # prefix 1 on slopes 1/2, 2 and 5 examines no lattice triangle, so the
+    # sweep must fall back from the integer-valued sublattice to the full box
+    @pytest.mark.parametrize("slope", ["1", "1/2", "2", "5", "3/2", "1/3"])
+    def test_survivors_match_plain_loop(self, box, slope):
+        sector = Sector(parse_slope(slope))
+        for prefix in (1, 2, 5, 20):
+            passing = [(nums, f) for nums, f in box if verify_packing(f, sector, prefix).ok]
+            quadratic = search_quadratic(sector, 1, prefix, workers=1)
+            assert quadratic.exhausted
+            assert quadratic.survivors == tuple(f for _, f in passing), (slope, prefix)
+            linear = linear_impossibility_check(sector, 1, prefix, workers=1)
+            assert linear.survivors == tuple(f for nums, f in passing if not any(nums[:3])), \
+                (slope, prefix)
+
+
+class TestChunkPlan:
+    def test_chunks_are_capped_at_bound_10(self):
+        for degree in (1, 2):
+            for sublattice in (True, False):
+                plan = verify._chunk_plan(degree, 20, sublattice)
+                assert max(plan.values()) <= verify._CHUNK_ROWS, (degree, sublattice)
+
+    @pytest.mark.parametrize("sublattice", [True, False])
+    def test_chunks_tile_the_swept_set(self, monkeypatch, sublattice):
+        # a small cap forces splits past (k20, k11)
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", 40)
+        plan = verify._chunk_plan(2, 2, sublattice)
+        assert max(len(key) for key in plan) > 2
+        verify._search_init({"sublattice": sublattice})
+        rows = []
+        for head, size in plan.items():
+            for key in itertools.product(*head):
+                chunk = verify._candidate_rows(key, 6 - len(key), 2).tolist()
+                assert len(chunk) == size and all(row[:len(key)] == list(key) for row in chunk)
+                rows.extend(map(tuple, chunk))
+        box = itertools.product(range(-2, 3), repeat=6)
+        swept = [k for k in box if not sublattice or
+                 (k[1] % 2 == 0 and k[5] % 2 == 0 and k[5] >= 0
+                  and (k[3] - k[0]) % 2 == 0 and (k[4] - k[2]) % 2 == 0)]
+        assert sorted(rows) == swept
+
+    def test_split_sweep_is_unchanged(self, monkeypatch):
+        whole = search_quadratic(I1, 1, 50, workers=1)
+        unsplit = sum(len(k20) * len(k11) for k20, k11 in verify._chunk_plan(2, 2, True))
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", 40)
+        seen = []
+        split = search_quadratic(I1, 1, 50, workers=1,
+                                 progress=lambda done, total: seen.append((done, total)))
+        assert split == whole
+        assert seen[-1][0] == seen[-1][1] > unsplit
 
 
 class TestOrderForFamily:
