@@ -9,7 +9,7 @@ uses the bijections as storage mapping functions.
 from .core import (OutsideSectorError, Point, Sector, SectorPackError, Slope,
                    SlopeSyntaxError, parse_slope)
 from .layout import CapacityError, SectorArray
-from .packing import (FamilyKind, OrderTag, PackingFamily, cantor, divides,
+from .packing import (FamilyKind, PackingFamily, cantor, divides,
                       parse_family, quasi_h, sector_decompose, steep)
 from .poly import (PolySyntaxError, QuadPoly, QuasiPoly, deserialize,
                    format_rational, parse_rational, serialize)
@@ -22,7 +22,7 @@ from .verify import (COVERAGE_MARGIN, EnumerationOrder, OrderKind,
 
 __all__ = [
     "CapacityError", "COVERAGE_MARGIN", "EnumerationOrder", "FamilyKind",
-    "LinearMap2", "OrderKind", "OrderTag", "OutsideSectorError",
+    "LinearMap2", "OrderKind", "OutsideSectorError",
     "PackingFamily", "PackingVerdict", "Point", "PolySyntaxError", "QuadPoly",
     "QuasiPoly", "SearchReport", "Sector", "SectorArray", "SectorPackError",
     "Slope", "SlopeSyntaxError", "block_bottom_up", "block_top_down",

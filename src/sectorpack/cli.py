@@ -29,6 +29,14 @@ def _strict_int(token: str) -> int:
     return int(token)
 
 
+def _integer_option(token: str) -> int:
+    """argparse type for integer options: a malformed value is a usage error."""
+    try:
+        return _strict_int(token)
+    except SectorPackError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {token!r}") from None
+
+
 def parse_point(text: str) -> tuple[int, int]:
     """Parse "x,y" with no spaces; integers of any size."""
     parts = text.split(",")
@@ -50,14 +58,11 @@ def _order_for(sector: Sector, name: str) -> EnumerationOrder:
     kind = _ORDER_NAMES.get(name)
     if kind is None:
         raise SectorPackError(f"unknown order {name!r} (choose from {sorted(_ORDER_NAMES)})")
+    # the param the slope implies; enumerate_sector rejects a slope that does not fit
     slope = sector.slope
     if kind in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-        if slope.is_infinite or (slope.s - 1) % slope.r != 0:
-            raise SectorPackError(f"block orders need a finite slope with r | s-1, got {slope}")
         return EnumerationOrder(kind, (slope.s - 1) // slope.r)
     if kind is OrderKind.RESIDUE_INTERLEAVED:
-        if slope.is_infinite:
-            raise SectorPackError("residue interleaving needs a finite slope")
         return EnumerationOrder(kind, slope.s)
     return EnumerationOrder(kind)
 
@@ -81,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("unrank", "point with a given rank under a packing family")
     p.add_argument("--family", required=True)
-    p.add_argument("--rank", required=True, type=_strict_int)
+    p.add_argument("--rank", required=True, type=_integer_option)
 
     p = add("enumerate", "first points of a sector in a stated order",
             formats=("text", "json", "csv"))
@@ -89,20 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True,
                    help="diagonal, reverse-diagonal, column-bottom-up, column-top-down, "
                         "block-bottom-up, block-top-down, residue-interleaved")
-    p.add_argument("--count", required=True, type=_strict_int)
+    p.add_argument("--count", required=True, type=_integer_option)
 
     p = add("verify", "check the packing property on a prefix of the sector")
     p.add_argument("--family", help="verify a built-in family")
     p.add_argument("--poly", help="verify a serialized polynomial (needs --slope)")
     p.add_argument("--slope", help="sector for --poly")
-    p.add_argument("--prefix", type=_strict_int, default=1000)
+    p.add_argument("--prefix", type=_integer_option, default=1000)
 
     p = add("search", "exhaustive bounded coefficient search for packing candidates",
             default_format="json")
     p.add_argument("--slope", required=True)
-    p.add_argument("--bound", type=_strict_int, default=4, help="half-integer coefficient bound")
-    p.add_argument("--prefix", type=_strict_int, default=1000)
-    p.add_argument("--degree", type=_strict_int, choices=(1, 2), default=2)
+    p.add_argument("--bound", type=_integer_option, default=4, help="half-integer coefficient bound")
+    p.add_argument("--prefix", type=_integer_option, default=1000)
+    p.add_argument("--degree", type=_integer_option, choices=(1, 2), default=2)
 
     p = add("basis", "free basis of the sector semigroup, if it exists")
     p.add_argument("--slope", required=True)
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("layout", "fill a sector array densely and dump offset,x,y",
             formats=("text", "json", "csv"), default_format="csv")
     p.add_argument("--family", required=True)
-    p.add_argument("--count", required=True, type=_strict_int)
+    p.add_argument("--count", required=True, type=_integer_option)
 
     return parser
 
@@ -218,7 +223,8 @@ def _cmd_layout(args) -> tuple[str, int]:
     family = parse_family(args.family)
     arr = SectorArray(family)
     arr.dense_prefix_fill(args.count, lambda p: p)
-    rows = [(family.rank(p), p[0], p[1]) for p, _ in arr.iterate()]
+    # a dense fill occupies exactly offsets 0..count-1, in iteration order
+    rows = [(offset, x, y) for offset, ((x, y), _) in enumerate(arr.iterate())]
     if args.format == "json":
         return json.dumps({"cells": [list(row) for row in rows]}), 0
     lines = ["offset,x,y"] + [f"{o},{x},{y}" for o, x, y in rows]

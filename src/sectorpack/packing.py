@@ -1,18 +1,25 @@
-"""Constructors for the packing families, with rank and unrank for each.
+"""The packing families as one block model, with rank and unrank for each.
 
-Every family couples a sector with a (quasi-)polynomial that enumerates the
-sector's lattice points in a specific order:
+Every family tiles its sector by blocks and counts them in order.  With r
+the numerator of the slope (1 for the quadrant), residue class ell of x mod
+`period` has blocks a = 0, 1, ... of r*a + c points, c = r*ell // period + 1;
+offset j of block a is the point (period*a + ell + d*j, j), counted from the
+top of the block when `top_down`.  The point's rank is
 
-* cantor F/G: the classical quadrant bijections, by diagonals;
-* steep F/G: integer-slope sectors, column by column;
-* divides F/G: slopes r/s with r | s-1, by the slanted blocks that tile
-  the sector when the step d = (s-1)/r is an integer;
-* quasi H: any reduced slope r/s, interleaving the s residue classes of x,
-  one quasi-polynomial branch per class.
+    period * (r*a*(a-1)/2 + c*a + offset) + ell.
 
-rank(p) evaluates the stored form (asserting the value is a nonnegative
-integer); unrank(n) inverts it by exact integer bracketing/bisection on
-block-prefix counts, so both directions are total and overflow-free.
+* cantor F/G: the quadrant by antidiagonals, d = -1;
+* steep F/G: integer slopes r, column by column, d = 0;
+* divides F/G: slopes r/s with r | s-1, by slanted blocks with step
+  d = (s-1)/r;
+* quasi H: any reduced slope r/s, the s residue classes of x interleaved,
+  period s and d = 0, one quasi-polynomial branch per class.
+
+The four integers r, d, period and top_down determine everything: `form`
+writes the count above in x and y, rank(p) evaluates it (asserting the value
+is a nonnegative integer), and unrank(n) solves the block-prefix quadratic
+for a in closed form with `math.isqrt`, so both directions are exact at any
+magnitude.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Callable, Union
+from math import gcd, isqrt
+from typing import Union
 
 from .core import Point, Sector, SectorPackError, Slope
 from .poly import QuadPoly, QuasiPoly
@@ -38,46 +45,22 @@ class FamilyKind(Enum):
     QUASI_H = "quasi"
 
 
-class OrderTag(Enum):
-    """Coarse direction of the enumeration that the family's form realizes."""
-
-    BOTTOM_UP = "bottom-up"
-    TOP_DOWN = "top-down"
-    DIAGONAL = "diagonal"
-
-
-def _block_prefix(r: int, a: int) -> int:
-    """Points in blocks 0..a-1 when block i holds r*i + 1 points: r*a*(a-1)/2 + a."""
-    return r * a * (a - 1) // 2 + a
-
-
-def _largest_with(count: Callable[[int], int], n: int) -> int:
-    """Largest a >= 0 with count(a) <= n, for nondecreasing count, count(0) = 0.
-
-    Brackets by doubling, then bisects; exact at any magnitude.
-    """
-    lo, hi = 0, 1
-    while count(hi) <= n:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if count(mid) <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+_X = QuadPoly.x()
+_Y = QuadPoly.y()
+_ONE = QuadPoly.constant(1)
 
 
 @dataclass(frozen=True)
 class PackingFamily:
-    """A verified packing function: sector + polynomial form + enumeration order."""
+    """A verified packing function: a sector and the block model that counts it."""
 
     kind: FamilyKind
     r: int | None
     s: int | None
-    form: Union[QuadPoly, QuasiPoly]
     sector: Sector
-    order: OrderTag
+    d: int
+    period: int
+    top_down: bool
 
     @property
     def name(self) -> str:
@@ -96,10 +79,23 @@ class PackingFamily:
         return (self.s - 1) // self.r
 
     @cached_property
+    def form(self) -> Union[QuadPoly, QuasiPoly]:
+        """The rank in x and y: one quadratic per residue class of x mod period."""
+        r, period = self.sector.slope.r, self.period
+        branches = []
+        for ell in range(period):
+            c = r * ell // period + 1
+            a = (_X - ell * _ONE - self.d * _Y) / period
+            offset = r * a + (c - 1) * _ONE - _Y if self.top_down else _Y
+            count = r * (a * (a - _ONE)) / 2 + c * a + offset
+            branches.append(period * count + ell * _ONE)
+        if self.kind is FamilyKind.QUASI_H:
+            return QuasiPoly(period, tuple(branches))
+        return branches[0]
+
+    @cached_property
     def _integer_forms(self) -> tuple:
         # scaled integer coefficients per branch, so rank stays in plain int math
-        if isinstance(self.form, QuadPoly):
-            return (self.form.scaled_integer_form(),)
         return tuple(branch.scaled_integer_form() for branch in self.form.branches)
 
     def rank(self, p: Point) -> int:
@@ -118,33 +114,16 @@ class PackingFamily:
         """The unique sector point with rank n; total on the nonnegative integers."""
         if n < 0:
             raise SectorPackError(f"rank must be nonnegative, got {n}")
-        kind = self.kind
-        if kind is FamilyKind.CANTOR_F or kind is FamilyKind.CANTOR_G:
-            t = _largest_with(lambda a: a * (a + 1) // 2, n)
-            k = n - t * (t + 1) // 2
-            return (k, t - k) if kind is FamilyKind.CANTOR_G else (t - k, k)
-        if kind is FamilyKind.QUASI_H:
-            ell = n % self.s
-            m = n // self.s
-            u = (self.r * ell) // self.s
-            block = lambda a: self.r * a * (a - 1) // 2 + (u + 1) * a
-            a = _largest_with(block, m)
-            return (self.s * a + ell, m - block(a))
-        # steep and divides families share the block-prefix count
-        count = lambda a: _block_prefix(self.r, a)
-        a = _largest_with(count, n)
-        offset = n - count(a)
-        if kind is FamilyKind.STEEP_F:
-            return (a, offset)
-        if kind is FamilyKind.STEEP_G:
-            return (a, self.r * a - offset)
-        j = offset if kind is FamilyKind.DIVIDES_F else self.r * a - offset
-        return (a + self.step * j, j)
-
-
-_X = QuadPoly.x()
-_Y = QuadPoly.y()
-_ONE = QuadPoly.constant(1)
+        r, period = self.sector.slope.r, self.period
+        m, ell = divmod(n, period)
+        c = r * ell // period + 1
+        # largest a >= 0 with r*a*(a-1)/2 + c*a <= m: the floor of the positive
+        # root of r*a^2 + b*a - 2m, exact because isqrt floors the discriminant
+        b = 2 * c - r
+        a = (isqrt(b * b + 8 * r * m) - b) // (2 * r)
+        offset = m - r * a * (a - 1) // 2 - c * a
+        j = r * a + c - 1 - offset if self.top_down else offset
+        return (period * a + ell + self.d * j, j)
 
 
 def _require_variant(variant: str) -> str:
@@ -154,14 +133,13 @@ def _require_variant(variant: str) -> str:
 
 
 def cantor(variant: str) -> PackingFamily:
-    """The two quadrant packing polynomials, enumerating by antidiagonals."""
-    _require_variant(variant)
-    square = (_X + _Y) * (_X + _Y)
-    if variant == "F":
-        kind, form = FamilyKind.CANTOR_F, (square + _X + 3 * _Y) / 2
-    else:
-        kind, form = FamilyKind.CANTOR_G, (square + 3 * _X + _Y) / 2
-    return PackingFamily(kind, None, None, form, Sector(Slope.infinite()), OrderTag.DIAGONAL)
+    """The two quadrant packing polynomials, enumerating by antidiagonals.
+
+    F = ((x+y)^2 + x + 3y)/2 counts each antidiagonal from the x-axis up,
+    G = ((x+y)^2 + 3x + y)/2 from the y-axis down.
+    """
+    kind = FamilyKind.CANTOR_F if _require_variant(variant) == "F" else FamilyKind.CANTOR_G
+    return PackingFamily(kind, None, None, Sector(Slope.infinite()), -1, 1, variant == "G")
 
 
 def steep(variant: str, r: int) -> PackingFamily:
@@ -170,18 +148,10 @@ def steep(variant: str, r: int) -> PackingFamily:
     F counts each column bottom-up: r*x*(x-1)/2 + x + y.
     G counts each column top-down:  r*x*(x+1)/2 + x - y.
     """
-    _require_variant(variant)
+    kind = FamilyKind.STEEP_F if _require_variant(variant) == "F" else FamilyKind.STEEP_G
     if r < 1:
         raise SectorPackError(f"slope must be a positive integer, got {r}")
-    if variant == "F":
-        kind = FamilyKind.STEEP_F
-        form = r * _X * (_X - _ONE) / 2 + _X + _Y
-        order = OrderTag.BOTTOM_UP
-    else:
-        kind = FamilyKind.STEEP_G
-        form = r * _X * (_X + _ONE) / 2 + _X - _Y
-        order = OrderTag.TOP_DOWN
-    return PackingFamily(kind, r, 1, form, Sector(Slope(r, 1)), order)
+    return PackingFamily(kind, r, 1, Sector(Slope(r, 1)), 0, 1, variant == "G")
 
 
 def _require_divides_params(r: int, s: int) -> int:
@@ -199,19 +169,9 @@ def _require_divides_params(r: int, s: int) -> int:
 
 def divides(variant: str, r: int, s: int) -> PackingFamily:
     """Packing polynomials on the slope-r/s sector when r divides s-1, by slanted blocks."""
-    _require_variant(variant)
+    kind = FamilyKind.DIVIDES_F if _require_variant(variant) == "F" else FamilyKind.DIVIDES_G
     d = _require_divides_params(r, s)
-    t = _X - d * _Y
-    square_part = r * (t * t) / 2
-    if variant == "F":
-        kind = FamilyKind.DIVIDES_F
-        form = square_part + ((2 - r) * _X + (d * r - 2 * d + 2) * _Y) / 2
-        order = OrderTag.BOTTOM_UP
-    else:
-        kind = FamilyKind.DIVIDES_G
-        form = square_part + ((r + 2) * _X - (2 * d + s + 1) * _Y) / 2
-        order = OrderTag.TOP_DOWN
-    return PackingFamily(kind, r, s, form, Sector(Slope(r, s)), order)
+    return PackingFamily(kind, r, s, Sector(Slope(r, s)), d, 1, variant == "G")
 
 
 def sector_decompose(r: int, s: int, p: Point) -> tuple[int, int]:
@@ -235,15 +195,7 @@ def quasi_h(r: int, s: int) -> PackingFamily:
         raise SectorPackError(f"parameters must be positive, got ({r}, {s})")
     if gcd(r, s) != 1:
         raise SectorPackError(f"parameters ({r}, {s}) are not coprime")
-    branches = []
-    for ell in range(s):
-        u = (r * ell) // s
-        shifted = _X - ell * _ONE
-        per_class = (r * (shifted * (shifted - s * _ONE))) / (2 * s * s) \
-            + Fraction(u + 1, s) * shifted + _Y
-        branches.append(s * per_class + QuadPoly.constant(ell))
-    form = QuasiPoly(s, tuple(branches))
-    return PackingFamily(FamilyKind.QUASI_H, r, s, form, Sector(Slope(r, s)), OrderTag.BOTTOM_UP)
+    return PackingFamily(FamilyKind.QUASI_H, r, s, Sector(Slope(r, s)), 0, s, False)
 
 
 def parse_family(name: str) -> PackingFamily:

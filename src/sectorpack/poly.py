@@ -87,6 +87,15 @@ class QuadPoly:
             return 1
         return 0
 
+    @property
+    def period(self) -> int:
+        """1: a quadratic is the period-1 case of a quasi-polynomial."""
+        return 1
+
+    @property
+    def branches(self) -> tuple["QuadPoly"]:
+        return (self,)
+
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.c20, self.c11, self.c02, self.c10, self.c01, self.c00)
 

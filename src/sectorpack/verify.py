@@ -165,7 +165,7 @@ def _order_iterator(sector: Sector, order: EnumerationOrder) -> Iterator[Point]:
             raise SectorPackError(f"{order} requires the infinite sector")
         return _iter_diagonal(reverse=kind is OrderKind.REVERSE_DIAGONAL)
     if slope.is_infinite:
-        raise SectorPackError(f"{order} requires a finite slope")
+        raise SectorPackError(f"{kind.value} requires a finite slope")
     if kind in (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN):
         return _iter_columns(sector, top_down=kind is OrderKind.COLUMN_TOP_DOWN)
     if kind in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
@@ -225,12 +225,6 @@ def _examined_region(sector: Sector, target: int) -> tuple[int, list[Point]]:
         x += 1
 
 
-def _scaled_forms(f: PolyLike) -> list[tuple[int, tuple[int, ...]]]:
-    if isinstance(f, QuadPoly):
-        return [f.scaled_integer_form()]
-    return [branch.scaled_integer_form() for branch in f.branches]
-
-
 def verify_packing(f: PolyLike, sector: Sector, prefix: int,
                    margin: int = COVERAGE_MARGIN) -> PackingVerdict:
     """Check the packing property of f on a prefix of the sector.
@@ -244,8 +238,8 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int,
     """
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
-    period = f.period if isinstance(f, QuasiPoly) else 1
-    forms = _scaled_forms(f)
+    period = f.period
+    forms = [branch.scaled_integer_form() for branch in f.branches]
     bound, points = _examined_region(sector, max(margin, 2 * sector.slope.s) * prefix)
     seen: dict[int, Point] = {}
     examined = len(points)

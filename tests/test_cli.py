@@ -38,6 +38,9 @@ class TestParsers:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert f"invalid integer value: {token!r}" in err, argv
+            assert "_strict_int" not in err, argv
         status, out, _ = run(capsys, "transform", "--family", "lambda:" + token)
         assert (status, out) == (1, "")
 
@@ -107,6 +110,14 @@ class TestEnumerate:
         status, _, err = run(capsys, "enumerate", "--slope", "3/5", "--order", "block-bottom-up",
                              "--count", "4")
         assert status == 1
+
+    @pytest.mark.parametrize("slope,order", [
+        ("inf", "block-top-down"), ("inf", "residue-interleaved"), ("2", "diagonal")])
+    def test_order_needs_a_matching_slope(self, capsys, slope, order):
+        status, out, err = run(capsys, "enumerate", "--slope", slope, "--order", order,
+                               "--count", "4")
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 class TestVerify:

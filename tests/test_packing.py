@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorpack import (OrderTag, OutsideSectorError, QuadPoly,
+from sectorpack import (OutsideSectorError, QuadPoly,
                         SectorPackError, cantor, divides, enumerate_sector,
                         order_for_family, parse_family, psi_map, quasi_h,
                         sector_decompose, steep)
@@ -64,12 +66,6 @@ class TestConstructors:
             fam = quasi_h(r, 1)
             assert fam.form.period == 1
             assert fam.form.branches[0] == steep("F", r).form
-
-    def test_order_tags(self):
-        assert cantor("F").order is OrderTag.DIAGONAL
-        assert steep("F", 2).order is OrderTag.BOTTOM_UP
-        assert divides("G", 2, 3).order is OrderTag.TOP_DOWN
-        assert quasi_h(3, 2).order is OrderTag.BOTTOM_UP
 
 
 class TestSectorDecompose:
@@ -144,6 +140,49 @@ class TestUnrank:
             for n, p in enumerate(enumerate_sector(family.sector, order, 5000)):
                 assert family.unrank(n) == p
                 assert family.rank(p) == n
+
+
+def _block_point(family, ell, a, offset):
+    """Offset `offset` of block a in residue class ell, as the block model places it."""
+    r = family.sector.slope.r
+    c = r * ell // family.period + 1
+    j = r * a + c - 1 - offset if family.top_down else offset
+    return (family.period * a + ell + family.d * j, j)
+
+
+def _block_rank(family, ell, a, offset):
+    """Ranks before block a of class ell, plus the offset, interleaved by period."""
+    r = family.sector.slope.r
+    c = r * ell // family.period + 1
+    return family.period * (r * a * (a - 1) // 2 + c * a + offset) + ell
+
+
+class TestBlockModel:
+    def test_form_is_the_block_count_for_all_n(self):
+        # the block point is affine in (a, offset), so each branch composed
+        # with it is a quadratic in (a, offset); agreeing with the quadratic
+        # block count on the six points of a lattice triangle makes them
+        # equal everywhere, which proves rank(unrank(n)) == n for every n
+        triangle = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
+        for family in all_families(10):
+            for ell, branch in enumerate(family.form.branches):
+                for a, offset in triangle:
+                    point = _block_point(family, ell, a, offset)
+                    assert branch.evaluate(point) == _block_rank(family, ell, a, offset), \
+                        (family.name, ell, a, offset)
+
+    def test_unrank_at_block_boundaries(self):
+        # an off-by-one in the isqrt step shows at the ranks around a block start
+        rng = random.Random(3)
+        blocks = [0, 1, 2, 10**6, 10**40 + 3] + [rng.randrange(10**60) for _ in range(5)]
+        for family in all_families(10):
+            for ell in range(family.period):
+                for a in blocks:
+                    start = _block_rank(family, ell, a, 0)
+                    assert family.unrank(start) == _block_point(family, ell, a, 0), family.name
+                    for n in (start - family.period, start, start + family.period):
+                        if n >= 0:
+                            assert family.rank(family.unrank(n)) == n, (family.name, n)
 
 
 class TestPolynomialIdentities:
