@@ -14,22 +14,19 @@ from .packing import (FamilyKind, PackingFamily, cantor, divides,
 from .poly import (PolySyntaxError, QuadPoly, QuasiPoly, deserialize,
                    format_rational, parse_rational, serialize)
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (COVERAGE_MARGIN, EnumerationOrder, OrderKind,
-                     PackingVerdict, SearchReport, block_bottom_up,
-                     block_top_down, enumerate_sector,
-                     linear_impossibility_check, order_for_family,
-                     residue_interleaved, search_quadratic, verify_packing)
+from .verify import (COVERAGE_MARGIN, OrderKind, PackingVerdict, SearchReport,
+                     enumerate_sector, linear_impossibility_check,
+                     order_for_family, search_quadratic, verify_packing)
 
 __all__ = [
-    "CapacityError", "COVERAGE_MARGIN", "EnumerationOrder", "FamilyKind",
+    "CapacityError", "COVERAGE_MARGIN", "FamilyKind",
     "LinearMap2", "OrderKind", "OutsideSectorError",
     "PackingFamily", "PackingVerdict", "Point", "PolySyntaxError", "QuadPoly",
     "QuasiPoly", "SearchReport", "Sector", "SectorArray", "SectorPackError",
-    "Slope", "SlopeSyntaxError", "block_bottom_up", "block_top_down",
-    "cantor", "deserialize", "divides", "enumerate_sector", "format_rational",
+    "Slope", "SlopeSyntaxError", "cantor", "deserialize", "divides", "enumerate_sector", "format_rational",
     "lambda_map", "linear_impossibility_check", "m_map", "order_for_family",
     "parse_family", "parse_rational", "parse_slope", "phi_map", "psi_map",
-    "quasi_h", "residue_interleaved", "search_quadratic", "sector_decompose",
+    "quasi_h", "search_quadratic", "sector_decompose",
     "serialize", "steep", "verify_packing",
 ]
 

@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 
-from .core import Sector, SectorPackError, parse_slope
+from .core import Sector, SectorPackError, _is_ascii_number, parse_slope
 from .packing import PackingFamily, parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (EnumerationOrder, OrderKind, enumerate_sector,
-                     linear_impossibility_check, search_quadratic, verify_packing)
+from .verify import (OrderKind, enumerate_sector, linear_impossibility_check,
+                     search_quadratic, verify_packing)
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
@@ -24,7 +24,7 @@ _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_m
 
 def _strict_int(token: str) -> int:
     digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_ascii_number(digits):
         raise SectorPackError(f"malformed integer {token!r}")
     return int(token)
 
@@ -54,17 +54,12 @@ def parse_map(text: str) -> LinearMap2:
     return factory(_strict_int(param))
 
 
-def _order_for(sector: Sector, name: str) -> EnumerationOrder:
-    kind = _ORDER_NAMES.get(name)
-    if kind is None:
+def _order_for(name: str) -> OrderKind:
+    """The order by its CLI name; enumerate_sector rejects a slope that does not fit it."""
+    order = _ORDER_NAMES.get(name)
+    if order is None:
         raise SectorPackError(f"unknown order {name!r} (choose from {sorted(_ORDER_NAMES)})")
-    # the param the slope implies; enumerate_sector rejects a slope that does not fit
-    slope = sector.slope
-    if kind in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-        return EnumerationOrder(kind, (slope.s - 1) // slope.r)
-    if kind is OrderKind.RESIDUE_INTERLEAVED:
-        return EnumerationOrder(kind, slope.s)
-    return EnumerationOrder(kind)
+    return order
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +138,7 @@ def _cmd_unrank(args) -> tuple[str, int]:
 
 def _cmd_enumerate(args) -> tuple[str, int]:
     sector = Sector(parse_slope(args.slope))
-    points = enumerate_sector(sector, _order_for(sector, args.order), args.count)
+    points = enumerate_sector(sector, _order_for(args.order), args.count)
     if args.format == "json":
         return json.dumps({"points": [[x, y] for x, y in points]}), 0
     if args.format == "csv":

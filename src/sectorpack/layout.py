@@ -91,6 +91,11 @@ class SectorArray:
         """Fill the cells of ranks 0..n-1; the packing property makes this gap-free."""
         if n < 0:
             raise SectorPackError(f"fill count must be nonnegative, got {n}")
+        if n - 1 > sys.maxsize:
+            raise CapacityError(f"fill count {n} exceeds the addressable range")
+        self._grow_to(n - 1)  # a point's rank is its offset, so none is ranked again
         for rank in range(n):
             p = self.family.unrank(rank)
-            self.put(p, generator(p))
+            if self._cells[rank] is _EMPTY:
+                self._population += 1
+            self._cells[rank] = generator(p)

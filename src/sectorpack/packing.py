@@ -31,7 +31,7 @@ from functools import cached_property
 from math import gcd, isqrt
 from typing import Union
 
-from .core import Point, Sector, SectorPackError, Slope
+from .core import Point, Sector, SectorPackError, Slope, _is_ascii_number
 from .poly import QuadPoly, QuasiPoly
 
 
@@ -70,13 +70,6 @@ class PackingFamily:
         if self.kind in (FamilyKind.STEEP_F, FamilyKind.STEEP_G):
             return f"{self.kind.value}:{self.r}"
         return f"{self.kind.value}:{self.r}/{self.s}"
-
-    @property
-    def step(self) -> int:
-        """Block step d = (s-1)/r of the divides families."""
-        if self.kind not in (FamilyKind.DIVIDES_F, FamilyKind.DIVIDES_G):
-            raise SectorPackError(f"{self.name} has no block step")
-        return (self.s - 1) // self.r
 
     @cached_property
     def form(self) -> Union[QuadPoly, QuasiPoly]:
@@ -223,6 +216,6 @@ def parse_family(name: str) -> PackingFamily:
 
 
 def _parse_param_int(token: str) -> int:
-    if not (token.isascii() and token.isdigit()):
+    if not _is_ascii_number(token):
         raise SectorPackError(f"malformed family parameter {token!r}")
     return int(token)

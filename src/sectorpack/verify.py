@@ -2,7 +2,8 @@
 
 `enumerate_sector` is the ground truth everything else is measured against:
 it walks a sector's lattice points in a stated order using nothing but the
-membership predicate, so a point's rank is simply its position.
+membership predicate, so a point's rank is simply its position.  An order is
+a plain `OrderKind`; the slope supplies its block step or residue period.
 
 `verify_packing` checks an arbitrary candidate on a finite prefix of the
 sector: values must be nonnegative integers, pairwise distinct, and cover
@@ -12,7 +13,8 @@ at.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
 through a funnel of exact int64 screens, and certify the survivors with
-`verify_packing` itself:
+`verify_packing` itself.  The linear sweep is the same box with the x^2, xy
+and y^2 columns pinned to 0.
 
 1. Only integer-valued candidates are built: the integer combinations of
    Polya's binomial basis C(x,2), xy, C(y,2), x, y, 1, with f(0,0) >= 0 as
@@ -53,11 +55,17 @@ PolyLike = Union[QuadPoly, QuasiPoly]
 
 # Base examined-region size as a multiple of the requested prefix; the
 # effective margin is max(COVERAGE_MARGIN, 2s) for slope denominator s, see
-# verify_packing.
+# _examined_region.
 COVERAGE_MARGIN = 4
 
 
 class OrderKind(Enum):
+    """A total order on a sector's points in which every point has finite rank.
+
+    The slope r/s fixes each order's parameter: the block orders step by
+    (s-1)/r, and the residue order interleaves the s classes of x mod s.
+    """
+
     DIAGONAL = "diagonal"
     REVERSE_DIAGONAL = "reverse-diagonal"
     COLUMN_BOTTOM_UP = "column-bottom-up"
@@ -67,79 +75,41 @@ class OrderKind(Enum):
     RESIDUE_INTERLEAVED = "residue-interleaved"
 
 
-@dataclass(frozen=True)
-class EnumerationOrder:
-    """A total order on a sector's points in which every point has finite rank."""
-
-    kind: OrderKind
-    param: int | None = None  # block step d, or the residue period s
-
-    def __str__(self) -> str:
-        return self.kind.value if self.param is None else f"{self.kind.value}({self.param})"
-
-
-DIAGONAL = EnumerationOrder(OrderKind.DIAGONAL)
-REVERSE_DIAGONAL = EnumerationOrder(OrderKind.REVERSE_DIAGONAL)
-COLUMN_BOTTOM_UP = EnumerationOrder(OrderKind.COLUMN_BOTTOM_UP)
-COLUMN_TOP_DOWN = EnumerationOrder(OrderKind.COLUMN_TOP_DOWN)
+_FAMILY_ORDERS = {
+    FamilyKind.CANTOR_F: OrderKind.DIAGONAL,
+    FamilyKind.CANTOR_G: OrderKind.REVERSE_DIAGONAL,
+    FamilyKind.STEEP_F: OrderKind.COLUMN_BOTTOM_UP,
+    FamilyKind.STEEP_G: OrderKind.COLUMN_TOP_DOWN,
+    FamilyKind.DIVIDES_F: OrderKind.BLOCK_BOTTOM_UP,
+    FamilyKind.DIVIDES_G: OrderKind.BLOCK_TOP_DOWN,
+    FamilyKind.QUASI_H: OrderKind.RESIDUE_INTERLEAVED,
+}
 
 
-def block_bottom_up(d: int) -> EnumerationOrder:
-    return EnumerationOrder(OrderKind.BLOCK_BOTTOM_UP, d)
-
-
-def block_top_down(d: int) -> EnumerationOrder:
-    return EnumerationOrder(OrderKind.BLOCK_TOP_DOWN, d)
-
-
-def residue_interleaved(s: int) -> EnumerationOrder:
-    return EnumerationOrder(OrderKind.RESIDUE_INTERLEAVED, s)
-
-
-def order_for_family(family: PackingFamily) -> EnumerationOrder:
+def order_for_family(family: PackingFamily) -> OrderKind:
     """The precise enumeration order a family's polynomial realizes."""
-    kind = family.kind
-    if kind is FamilyKind.CANTOR_F:
-        return DIAGONAL
-    if kind is FamilyKind.CANTOR_G:
-        return REVERSE_DIAGONAL
-    if kind is FamilyKind.STEEP_F:
-        return COLUMN_BOTTOM_UP
-    if kind is FamilyKind.STEEP_G:
-        return COLUMN_TOP_DOWN
-    if kind is FamilyKind.DIVIDES_F:
-        return block_bottom_up(family.step)
-    if kind is FamilyKind.DIVIDES_G:
-        return block_top_down(family.step)
-    return residue_interleaved(family.s)
+    return _FAMILY_ORDERS[family.kind]
 
 
 def _iter_diagonal(reverse: bool) -> Iterator[Point]:
-    d = 0
-    while True:
+    for d in itertools.count():
         for k in range(d + 1):
             yield (k, d - k) if reverse else (d - k, k)
-        d += 1
 
 
 def _iter_columns(sector: Sector, top_down: bool) -> Iterator[Point]:
-    x = 0
-    while True:
+    for x in itertools.count():
         top = sector.column_height(x)
         span = range(top, -1, -1) if top_down else range(top + 1)
         for y in span:
             yield (x, y)
-        x += 1
 
 
-def _iter_blocks(sector: Sector, d: int, top_down: bool) -> Iterator[Point]:
-    r = sector.slope.r
-    a = 0
-    while True:
+def _iter_blocks(r: int, d: int, top_down: bool) -> Iterator[Point]:
+    for a in itertools.count():
         span = range(r * a, -1, -1) if top_down else range(r * a + 1)
         for j in span:
             yield (a + d * j, j)
-        a += 1
 
 
 def _iter_residues(sector: Sector, s: int) -> Iterator[Point]:
@@ -151,37 +121,30 @@ def _iter_residues(sector: Sector, s: int) -> Iterator[Point]:
             x += s
 
     scans = [column_scan(ell) for ell in range(s)]
-    n = 0
     while True:
-        yield next(scans[n % s])
-        n += 1
+        for scan in scans:
+            yield next(scan)
 
 
-def _order_iterator(sector: Sector, order: EnumerationOrder) -> Iterator[Point]:
-    kind, param = order.kind, order.param
+def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
     slope = sector.slope
-    if kind in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
+    if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
         if not slope.is_infinite:
-            raise SectorPackError(f"{order} requires the infinite sector")
-        return _iter_diagonal(reverse=kind is OrderKind.REVERSE_DIAGONAL)
+            raise SectorPackError(f"{order.value} requires the infinite sector")
+        return _iter_diagonal(reverse=order is OrderKind.REVERSE_DIAGONAL)
     if slope.is_infinite:
-        raise SectorPackError(f"{kind.value} requires a finite slope")
-    if kind in (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN):
-        return _iter_columns(sector, top_down=kind is OrderKind.COLUMN_TOP_DOWN)
-    if kind in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-        if param is None:
-            raise SectorPackError(f"{order.kind.value} needs its block step")
+        raise SectorPackError(f"{order.value} requires a finite slope")
+    if order in (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN):
+        return _iter_columns(sector, top_down=order is OrderKind.COLUMN_TOP_DOWN)
+    if order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
         r, s = slope.r, slope.s
-        if (s - 1) % r != 0 or param != (s - 1) // r:
-            raise SectorPackError(
-                f"block step {param} does not match slope {slope} (needs r | s-1)")
-        return _iter_blocks(sector, param, top_down=kind is OrderKind.BLOCK_TOP_DOWN)
-    if param != slope.s:
-        raise SectorPackError(f"residue period {param} does not match slope {slope}")
+        if (s - 1) % r:
+            raise SectorPackError(f"{order.value} requires a slope r/s with r | s-1, got {slope}")
+        return _iter_blocks(r, (s - 1) // r, top_down=order is OrderKind.BLOCK_TOP_DOWN)
     return _iter_residues(sector, slope.s)
 
 
-def enumerate_sector(sector: Sector, order: EnumerationOrder, count: int) -> list[Point]:
+def enumerate_sector(sector: Sector, order: OrderKind, count: int) -> list[Point]:
     """First `count` points of the order; a point's rank is its position here."""
     if count < 1:
         raise SectorPackError(f"count must be positive, got {count}")
@@ -209,8 +172,16 @@ class PackingVerdict:
         return f"fail: {self.reason} at {self.witness}"
 
 
-def _examined_region(sector: Sector, target: int) -> tuple[int, list[Point]]:
-    """Smallest column bound (or square side, for the quadrant) holding >= target points."""
+def _examined_region(sector: Sector, prefix: int) -> tuple[int, list[Point]]:
+    """Smallest column bound (or square side, for the quadrant) holding at least
+    max(COVERAGE_MARGIN, 2s) * prefix points, for slope r/s.
+
+    Block-enumerating polynomials place preimages of rank < n as far out as
+    column s*sqrt(2n/r), about s * prefix points in, so the flat base margin
+    alone would miss them for larger denominators (and s alone leaves no
+    headroom).
+    """
+    target = max(COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
     points: list[Point] = []
     if sector.slope.is_infinite:
         n = 0
@@ -225,22 +196,17 @@ def _examined_region(sector: Sector, target: int) -> tuple[int, list[Point]]:
         x += 1
 
 
-def verify_packing(f: PolyLike, sector: Sector, prefix: int,
-                   margin: int = COVERAGE_MARGIN) -> PackingVerdict:
+def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
     """Check the packing property of f on a prefix of the sector.
 
-    Pass iff on the examined region: all values are nonnegative integers,
-    pairwise distinct, and {0..prefix-1} all occur.  The region holds
-    max(margin, 2s) * prefix points for slope r/s: block-enumerating
-    polynomials place preimages of rank < n as far out as column s*sqrt(2n/r),
-    about s * prefix points in, so the flat base margin alone would miss
-    them for larger denominators (and s alone leaves no headroom).
+    Pass iff on the examined region (see _examined_region): all values are
+    nonnegative integers, pairwise distinct, and {0..prefix-1} all occur.
     """
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
     period = f.period
     forms = [branch.scaled_integer_form() for branch in f.branches]
-    bound, points = _examined_region(sector, max(margin, 2 * sector.slope.s) * prefix)
+    bound, points = _examined_region(sector, prefix)
     seen: dict[int, Point] = {}
     examined = len(points)
 
@@ -298,7 +264,6 @@ _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
 _MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
 _FULL_SCREEN_SLICE = 1024  # rows per batch of the later tiers, to cap the value matrix size
 _CHUNK_ROWS = 1 << 17  # candidate rows per chunk at most, whatever the bound
-_COLUMNS = {1: 3, 2: 6}  # numerator columns a candidate row has, by degree
 
 # The lattice triangle {(i, j) : i + j <= 2}, as offsets from its corner.
 _TRIANGLE = tuple((i, j) for i in range(3) for j in range(3 - i))
@@ -322,36 +287,35 @@ def _has_triangle(points: list[Point]) -> bool:
     return any(all((a + i, b + j) in have for i, j in _TRIANGLE) for a, b in points)
 
 
-def _cosets(columns: int, bound: int, sublattice: bool) -> list[tuple[range, ...]]:
+def _cosets(bounds: tuple[int, ...], sublattice: bool) -> list[tuple[range, ...]]:
     """The candidate numerator tuples as disjoint boxes, one range per column.
 
-    Columns are (k20, k11, k02, k10, k01, k00), or (k10, k01, k00) for degree
-    1.  The full box has every |k| <= bound.  An integer-valued quadratic is
-    a*C(x,2) + b*xy + c*C(y,2) + d*x + e*y + g with integers a..g (Polya), so
-    on its sublattice k11 and k00 are even, k10 = k20 and k01 = k02 (mod 2),
-    and k00 = 2f(0,0) >= 0; the parities of k20 and k02 pick the coset.  For
-    degree 1, k10, k01 and k00 are even.  `bound` is even.
+    Columns are (k20, k11, k02, k10, k01, k00), each with |k| <= its even
+    bound; a linear sweep pins the first three to 0.  An integer-valued
+    quadratic is a*C(x,2) + b*xy + c*C(y,2) + d*x + e*y + g with integers
+    a..g (Polya), so on its sublattice k11 and k00 are even, k10 = k20 and
+    k01 = k02 (mod 2), and k00 = 2f(0,0) >= 0; the parities of k20 and k02
+    pick the coset, and a coset with an empty range is dropped.
     """
     if not sublattice:
-        return [(range(-bound, bound + 1),) * columns]
-    parity = [range(-bound + p, bound + 1, 2) for p in (0, 1)]
-    k00 = range(0, bound + 1, 2)
-    if columns == 3:
-        return [(parity[0], parity[0], k00)]
-    return [(parity[p], parity[0], parity[q], parity[p], parity[q], k00)
-            for p in (0, 1) for q in (0, 1)]
+        return [tuple(range(-b, b + 1) for b in bounds)]
+    even = [range(-b, b + 1, 2) for b in bounds]
+    odd = [range(1 - b, b + 1, 2) for b in bounds]
+    k00 = range(0, bounds[5] + 1, 2)
+    boxes = [(p[0], even[1], q[2], p[3], q[4], k00)
+             for p in (even, odd) for q in (even, odd)]
+    return [box for box in boxes if all(box)]
 
 
-def _chunk_plan(degree: int, bound: int, sublattice: bool) -> dict[tuple[range, ...], int]:
+def _chunk_plan(cosets: list[tuple[range, ...]]) -> dict[tuple[range, ...], int]:
     """Boxes of leading-column values -> candidate rows per chunk.
 
     Each point of a box keys one chunk.  Two cosets have equal or disjoint
-    leading ranges, so the boxes are disjoint.  Quadratic sweeps split on
-    (k20, k11) at least; either degree splits on further leading columns
-    while a chunk would exceed _CHUNK_ROWS rows.
+    leading ranges, so the boxes are disjoint.  The sweep splits on (k20,
+    k11) at least, and on further leading columns while a chunk would exceed
+    _CHUNK_ROWS rows.
     """
-    cosets = _cosets(_COLUMNS[degree], bound, sublattice)
-    for depth in range(2 if degree == 2 else 0, _COLUMNS[degree] + 1):
+    for depth in range(2, len(cosets[0]) + 1):
         plan: dict[tuple[range, ...], int] = {}
         for box in cosets:
             head = box[:depth]
@@ -361,11 +325,11 @@ def _chunk_plan(degree: int, bound: int, sublattice: bool) -> dict[tuple[range, 
     return plan
 
 
-def _candidate_rows(fixed: tuple[int, ...], free: int, bound: int) -> np.ndarray:
+def _candidate_rows(fixed: tuple[int, ...]) -> np.ndarray:
     """Candidate numerator tuples of one chunk: the `fixed` leading columns, then
-    every completion of the `free` trailing ones in the swept set (see _cosets)."""
+    every completion of the trailing ones in the swept cosets (see _cosets)."""
     blocks = []
-    for box in _cosets(len(fixed) + free, bound, _WORK["sublattice"]):
+    for box in _WORK["cosets"]:
         if all(v in r for v, r in zip(fixed, box)):
             axes = [np.array([v], dtype=np.int64) for v in fixed]
             axes += [np.arange(r.start, r.stop, r.step, dtype=np.int64) for r in box[len(fixed):]]
@@ -391,10 +355,7 @@ def _screen(rows: np.ndarray, basis: np.ndarray, prefix: int | None) -> np.ndarr
 
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Screen one chunk of the coefficient lattice; returns surviving numerator tuples."""
-    rows = _candidate_rows(fixed, _COLUMNS[_WORK["degree"]] - len(fixed), _WORK["bound"])
-    if _WORK["degree"] == 1:
-        rows = np.hstack([np.zeros((rows.shape[0], 3), dtype=np.int64), rows])
-    rows = _screen(rows, _WORK["screen_basis"], None)
+    rows = _screen(_candidate_rows(fixed), _WORK["screen_basis"], None)
     out: list[tuple[int, ...]] = []
     for start in range(0, rows.shape[0], _FULL_SCREEN_SLICE):
         batch = _screen(rows[start:start + _FULL_SCREEN_SLICE], _WORK["middle_basis"], None)
@@ -426,26 +387,25 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
 
     bound = 2 * coeff_bound  # numerators of the half-integer lattice
     # same region as verify_packing, so the screen is exactly its restriction
-    _, points = _examined_region(sector, max(COVERAGE_MARGIN, 2 * sector.slope.s) * prefix)
+    _, points = _examined_region(sector, prefix)
     full_basis = _monomial_basis(points)
     # int64 safety: the largest |2*f| over the region must stay well inside the range
     worst = 6 * bound * int(np.abs(full_basis).max())
     if worst >= 2 ** 62:
         raise SectorPackError("search region too large for the integer screen")
 
+    bounds = (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
     # a candidate off the integer-valued sublattice is odd somewhere on any
     # lattice triangle, so with one in the region the screen would reject it
-    sublattice = _has_triangle(points)
+    cosets = _cosets(bounds, _has_triangle(points))
     payload = {
-        "degree": degree,
-        "bound": bound,
+        "cosets": cosets,
         "prefix": prefix,
-        "sublattice": sublattice,
         "screen_basis": full_basis[:_SCREEN_POINTS],
         "middle_basis": full_basis[:_MIDDLE_POINTS],
         "full_basis": full_basis,
     }
-    plan = _chunk_plan(degree, bound, sublattice)
+    plan = _chunk_plan(cosets)
     total = sum(math.prod(len(r) for r in head) for head in plan)
     chunks = itertools.chain.from_iterable(itertools.product(*head) for head in plan)
 

@@ -112,12 +112,15 @@ class TestEnumerate:
         assert status == 1
 
     @pytest.mark.parametrize("slope,order", [
-        ("inf", "block-top-down"), ("inf", "residue-interleaved"), ("2", "diagonal")])
+        ("inf", "block-top-down"), ("inf", "residue-interleaved"), ("2", "diagonal"),
+        ("3/5", "block-bottom-up"), ("3/5", "block-top-down")])
     def test_order_needs_a_matching_slope(self, capsys, slope, order):
         status, out, err = run(capsys, "enumerate", "--slope", slope, "--order", order,
                                "--count", "4")
         assert (status, out) == (1, "")
-        assert err.startswith("error: ")
+        needs = {"inf": "a finite slope", "2": "the infinite sector",
+                 "3/5": "a slope r/s with r | s-1, got 3/5"}[slope]
+        assert err == f"error: {order} requires {needs}\n"
 
 
 class TestVerify:

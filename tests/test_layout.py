@@ -58,6 +58,9 @@ class TestBasics:
         huge = 2 ** 40
         with pytest.raises(CapacityError):
             arr.put((huge, 0), "x")
+        with pytest.raises(CapacityError):
+            arr.dense_prefix_fill(2 ** 70, lambda p: p)
+        assert arr.storage_length == 0
 
 
 class TestIterate:

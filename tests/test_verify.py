@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from sectorpack import (QuadPoly, Sector, SectorPackError, Slope, cantor,
-                        divides, enumerate_sector, linear_impossibility_check,
-                        order_for_family, parse_slope, quasi_h, search_quadratic,
-                        steep, verify, verify_packing)
-from sectorpack.verify import (COLUMN_BOTTOM_UP, COLUMN_TOP_DOWN, DIAGONAL,
-                               REVERSE_DIAGONAL, block_bottom_up,
-                               block_top_down, residue_interleaved)
+from sectorpack import (OrderKind, QuadPoly, Sector, SectorPackError, Slope,
+                        cantor, divides, enumerate_sector,
+                        linear_impossibility_check, order_for_family,
+                        parse_slope, quasi_h, search_quadratic, steep, verify,
+                        verify_packing)
 
 from family_zoo import all_families
 
@@ -20,28 +18,34 @@ QUADRANT = Sector(Slope.infinite())
 
 class TestEnumerate:
     def test_examples(self):
-        assert enumerate_sector(QUADRANT, DIAGONAL, 4) == [(0, 0), (1, 0), (0, 1), (2, 0)]
-        assert enumerate_sector(Sector(Slope(2, 1)), COLUMN_BOTTOM_UP, 5) == \
+        assert enumerate_sector(QUADRANT, OrderKind.DIAGONAL, 4) == \
+            [(0, 0), (1, 0), (0, 1), (2, 0)]
+        assert enumerate_sector(Sector(Slope(2, 1)), OrderKind.COLUMN_BOTTOM_UP, 5) == \
             [(0, 0), (1, 0), (1, 1), (1, 2), (2, 0)]
-        assert enumerate_sector(Sector(Slope(3, 2)), residue_interleaved(2), 6) == \
+        assert enumerate_sector(Sector(Slope(3, 2)), OrderKind.RESIDUE_INTERLEAVED, 6) == \
             [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (3, 0)]
+        # the slope fixes the parameter: block step (s-1)/r = 3, residue period s = 3
+        assert enumerate_sector(Sector(Slope(1, 4)), OrderKind.BLOCK_BOTTOM_UP, 4) == \
+            [(0, 0), (1, 0), (4, 1), (2, 0)]
+        assert enumerate_sector(Sector(Slope(1, 3)), OrderKind.RESIDUE_INTERLEAVED, 8) == \
+            [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (3, 1), (4, 1)]
 
     def test_reverse_diagonal(self):
-        assert enumerate_sector(QUADRANT, REVERSE_DIAGONAL, 4) == [(0, 0), (0, 1), (1, 0), (0, 2)]
+        assert enumerate_sector(QUADRANT, OrderKind.REVERSE_DIAGONAL, 4) == \
+            [(0, 0), (0, 1), (1, 0), (0, 2)]
 
     def test_incompatible_orders_rejected(self):
         with pytest.raises(SectorPackError):
-            enumerate_sector(I1, DIAGONAL, 5)
+            enumerate_sector(I1, OrderKind.DIAGONAL, 5)
         with pytest.raises(SectorPackError):
-            enumerate_sector(QUADRANT, COLUMN_BOTTOM_UP, 5)
+            enumerate_sector(QUADRANT, OrderKind.COLUMN_BOTTOM_UP, 5)
+        for order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
+            with pytest.raises(SectorPackError, match=r"r \| s-1, got 3/5"):
+                enumerate_sector(Sector(Slope(3, 5)), order, 5)  # 3 does not divide 4
         with pytest.raises(SectorPackError):
-            enumerate_sector(Sector(Slope(3, 5)), block_bottom_up(1), 5)  # 3 does not divide 4
+            enumerate_sector(QUADRANT, OrderKind.RESIDUE_INTERLEAVED, 5)
         with pytest.raises(SectorPackError):
-            enumerate_sector(Sector(Slope(2, 3)), block_bottom_up(2), 5)  # wrong step
-        with pytest.raises(SectorPackError):
-            enumerate_sector(Sector(Slope(3, 2)), residue_interleaved(3), 5)
-        with pytest.raises(SectorPackError):
-            enumerate_sector(I1, COLUMN_BOTTOM_UP, 0)
+            enumerate_sector(I1, OrderKind.COLUMN_BOTTOM_UP, 0)
 
     def test_oracle_self_consistency(self):
         # pairwise-distinct points, all inside the sector, and for block
@@ -51,13 +55,13 @@ class TestEnumerate:
             points = enumerate_sector(family.sector, order, 800)
             assert len(set(points)) == 800
             assert all(family.sector.contains(p) for p in points)
-            if order.kind.value.startswith("block"):
-                d = order.param
+            if order.value.startswith("block"):
+                d = family.d
                 indices = [x - d * y for x, y in points]
                 assert all(a <= b for a, b in zip(indices, indices[1:]))
 
     def test_block_top_down_order(self):
-        assert enumerate_sector(Sector(Slope(2, 3)), block_top_down(1), 4) == \
+        assert enumerate_sector(Sector(Slope(2, 3)), OrderKind.BLOCK_TOP_DOWN, 4) == \
             [(0, 0), (3, 2), (2, 1), (1, 0)]
 
 
@@ -106,11 +110,6 @@ class TestVerifyPacking:
             for n in range(500):
                 p = family.unrank(n)
                 assert p[0] <= bound, (family.name, n, p, bound)
-
-    def test_margin_parameter(self):
-        verdict = verify_packing(steep("F", 1).form, I1, 100, margin=8)
-        assert verdict.ok
-        assert verdict.points_examined >= 800
 
     def test_bad_prefix_rejected(self):
         with pytest.raises(SectorPackError):
@@ -184,49 +183,64 @@ class TestSearchOracle:
                 (slope, prefix)
 
 
+def _bounds(degree, bound):
+    """Even numerator bounds per column: a linear sweep pins k20, k11, k02 to 0."""
+    return (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
+
+
+# per degree: the sweep, and a chunk cap that splits its bound-1 box past (k20, k11)
+_SWEEPS = {1: (linear_impossibility_check, 4), 2: (search_quadratic, 40)}
+
+
 class TestChunkPlan:
     def test_chunks_are_capped_at_bound_10(self):
         for degree in (1, 2):
             for sublattice in (True, False):
-                plan = verify._chunk_plan(degree, 20, sublattice)
+                plan = verify._chunk_plan(verify._cosets(_bounds(degree, 20), sublattice))
                 assert max(plan.values()) <= verify._CHUNK_ROWS, (degree, sublattice)
 
     @pytest.mark.parametrize("sublattice", [True, False])
     def test_chunks_tile_the_swept_set(self, monkeypatch, sublattice):
-        # a small cap forces splits past (k20, k11)
-        monkeypatch.setattr(verify, "_CHUNK_ROWS", 40)
-        plan = verify._chunk_plan(2, 2, sublattice)
-        assert max(len(key) for key in plan) > 2
-        verify._search_init({"sublattice": sublattice})
-        rows = []
-        for head, size in plan.items():
-            for key in itertools.product(*head):
-                chunk = verify._candidate_rows(key, 6 - len(key), 2).tolist()
-                assert len(chunk) == size and all(row[:len(key)] == list(key) for row in chunk)
-                rows.extend(map(tuple, chunk))
-        box = itertools.product(range(-2, 3), repeat=6)
-        swept = [k for k in box if not sublattice or
-                 (k[1] % 2 == 0 and k[5] % 2 == 0 and k[5] >= 0
-                  and (k[3] - k[0]) % 2 == 0 and (k[4] - k[2]) % 2 == 0)]
-        assert sorted(rows) == swept
+        for degree, (_, cap) in _SWEEPS.items():
+            bounds = _bounds(degree, 2)
+            cosets = verify._cosets(bounds, sublattice)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_CHUNK_ROWS", cap)
+                plan = verify._chunk_plan(cosets)
+            assert max(len(key) for key in plan) > 2, degree
+            verify._search_init({"cosets": cosets})
+            rows = []
+            for head, size in plan.items():
+                for key in itertools.product(*head):
+                    chunk = verify._candidate_rows(key).tolist()
+                    assert len(chunk) == size and all(row[:len(key)] == list(key) for row in chunk)
+                    rows.extend(map(tuple, chunk))
+            box = itertools.product(*(range(-b, b + 1) for b in bounds))
+            swept = [k for k in box if not sublattice or
+                     (k[1] % 2 == 0 and k[5] % 2 == 0 and k[5] >= 0
+                      and (k[3] - k[0]) % 2 == 0 and (k[4] - k[2]) % 2 == 0)]
+            assert sorted(rows) == swept, degree
 
     def test_split_sweep_is_unchanged(self, monkeypatch):
-        whole = search_quadratic(I1, 1, 50, workers=1)
-        unsplit = sum(len(k20) * len(k11) for k20, k11 in verify._chunk_plan(2, 2, True))
-        monkeypatch.setattr(verify, "_CHUNK_ROWS", 40)
-        seen = []
-        split = search_quadratic(I1, 1, 50, workers=1,
-                                 progress=lambda done, total: seen.append((done, total)))
-        assert split == whole
-        assert seen[-1][0] == seen[-1][1] > unsplit
+        for degree, (sweep, cap) in _SWEEPS.items():
+            whole = sweep(I1, 1, 50, workers=1)
+            unsplit = sum(len(k20) * len(k11) for k20, k11
+                          in verify._chunk_plan(verify._cosets(_bounds(degree, 2), True)))
+            seen = []
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_CHUNK_ROWS", cap)
+                split = sweep(I1, 1, 50, workers=1,
+                              progress=lambda done, total: seen.append((done, total)))
+            assert split == whole, degree
+            assert seen[-1][0] == seen[-1][1] > unsplit, degree
 
 
 class TestOrderForFamily:
     def test_mapping(self):
-        assert order_for_family(cantor("F")) == DIAGONAL
-        assert order_for_family(cantor("G")) == REVERSE_DIAGONAL
-        assert order_for_family(steep("F", 3)) == COLUMN_BOTTOM_UP
-        assert order_for_family(steep("G", 3)) == COLUMN_TOP_DOWN
-        assert order_for_family(divides("F", 2, 3)) == block_bottom_up(1)
-        assert order_for_family(divides("G", 1, 4)) == block_top_down(3)
-        assert order_for_family(quasi_h(3, 2)) == residue_interleaved(2)
+        assert order_for_family(cantor("F")) is OrderKind.DIAGONAL
+        assert order_for_family(cantor("G")) is OrderKind.REVERSE_DIAGONAL
+        assert order_for_family(steep("F", 3)) is OrderKind.COLUMN_BOTTOM_UP
+        assert order_for_family(steep("G", 3)) is OrderKind.COLUMN_TOP_DOWN
+        assert order_for_family(divides("F", 2, 3)) is OrderKind.BLOCK_BOTTOM_UP
+        assert order_for_family(divides("G", 1, 4)) is OrderKind.BLOCK_TOP_DOWN
+        assert order_for_family(quasi_h(3, 2)) is OrderKind.RESIDUE_INTERLEAVED
