@@ -103,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_integer_option, default=4, help="half-integer coefficient bound")
     p.add_argument("--prefix", type=_integer_option, default=1000)
     p.add_argument("--degree", type=_integer_option, choices=(1, 2), default=2)
+    p.add_argument("--workers", type=_integer_option, metavar="N",
+                   help="worker processes (default: one per CPU)")
 
     p = add("basis", "free basis of the sector semigroup, if it exists")
     p.add_argument("--slope", required=True)
@@ -180,7 +182,7 @@ def _cmd_search(args) -> tuple[str, int]:
                 step = done
 
     run = search_quadratic if args.degree == 2 else linear_impossibility_check
-    report = run(sector, args.bound, args.prefix, progress=progress)
+    report = run(sector, args.bound, args.prefix, workers=args.workers, progress=progress)
     if args.format == "json":
         return report.to_json(), 0
     lines = [f"sector {report.sector.slope}  degree {report.degree}  "

@@ -24,12 +24,21 @@ and y^2 columns pinned to 0.
    it anyway.  A region without one (only tiny prefixes) falls back to the
    full box.  Either way `exhausted` means the whole box was covered: every
    candidate skipped is proved to fail.
-2. A screen on the first 48 region points, then on the first 512, then on
-   the whole region: evenness, nonnegativity, the coverage count, and last,
-   on the rows left, distinctness.
+2. The constant numerator k00 is solved, not swept.  Every other monomial
+   is 0 at (0,0), the first region point, so 2f = W + k00, where W, the
+   value of the shape (k20, k11, k02, k10, k01), is 0 there.  2f is even
+   everywhere iff k00 and W are, nonnegative iff k00 >= -min W, and
+   distinct iff W is; the box holds every even k00 from 0 to 2*bound.  So
+   a shape passes a screen iff some k00 in the box does: W is even,
+   distinct and at least -2*bound.  The full screen also needs
+   {0..prefix-1} to occur, so 0 occurs and k00 = -min W: each surviving
+   shape is one candidate.  The screens run on the first 48 region points,
+   then on the first 512, then on the whole region, where the coverage
+   count runs before the sort that tests distinctness.
 
-The box is cut into chunks of at most _CHUNK_ROWS candidates whatever the
-bound.  Results are deterministic regardless of worker count: survivors are
+The box is cut into chunks of at most _CHUNK_ROWS candidates (shapes times
+their k00 range) unless a chunk is a single shape; chunks are never keyed on
+k00.  Results are deterministic regardless of worker count: survivors are
 re-sorted.
 """
 
@@ -172,8 +181,9 @@ class PackingVerdict:
         return f"fail: {self.reason} at {self.witness}"
 
 
-def _examined_region(sector: Sector, prefix: int) -> tuple[int, list[Point]]:
-    """Smallest column bound (or square side, for the quadrant) holding at least
+def _examined_region(sector: Sector, prefix: int) -> list[int]:
+    """Top y of each column of the examined region, from column 0: the fewest
+    columns (or, for the quadrant, the smallest square) holding at least
     max(COVERAGE_MARGIN, 2s) * prefix points, for slope r/s.
 
     Block-enumerating polynomials place preimages of rank < n as far out as
@@ -182,18 +192,16 @@ def _examined_region(sector: Sector, prefix: int) -> tuple[int, list[Point]]:
     headroom).
     """
     target = max(COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
-    points: list[Point] = []
     if sector.slope.is_infinite:
-        n = 0
-        while (n + 1) * (n + 1) < target:
-            n += 1
-        return n, [(x, y) for x in range(n + 1) for y in range(n + 1)]
-    x = 0
-    while True:
-        points.extend((x, y) for y in range(sector.column_height(x) + 1))
-        if len(points) >= target:
-            return x, points
-        x += 1
+        side = math.isqrt(target - 1) + 1  # smallest side with side^2 >= target
+        return [side - 1] * side
+    tops: list[int] = []
+    count = 0
+    while count < target:
+        top = sector.column_height(len(tops))
+        tops.append(top)
+        count += top + 1
+    return tops
 
 
 def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
@@ -201,30 +209,31 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
 
     Pass iff on the examined region (see _examined_region): all values are
     nonnegative integers, pairwise distinct, and {0..prefix-1} all occur.
+    The points are walked column by column, so a failure stops the walk.
     """
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
     period = f.period
     forms = [branch.scaled_integer_form() for branch in f.branches]
-    bound, points = _examined_region(sector, prefix)
+    tops = _examined_region(sector, prefix)
+    bound, examined = len(tops) - 1, sum(tops) + len(tops)
     seen: dict[int, Point] = {}
-    examined = len(points)
 
     def fail(reason, witness):
         return PackingVerdict(False, reason, witness, bound, examined)
 
-    for p in points:
-        x, y = p
+    for x, top in enumerate(tops):
         den, (a, b, c, d, e, g) = forms[x % period]
-        num = a * x * x + b * x * y + c * y * y + d * x + e * y + g
-        if num % den:
-            return fail("non-integer", p)
-        value = num // den
-        if value < 0:
-            return fail("negative", p)
-        if value in seen:
-            return fail("collision", (seen[value], p))
-        seen[value] = p
+        for y in range(top + 1):
+            num = a * x * x + b * x * y + c * y * y + d * x + e * y + g
+            if num % den:
+                return fail("non-integer", (x, y))
+            value = num // den
+            if value < 0:
+                return fail("negative", (x, y))
+            if value in seen:
+                return fail("collision", (seen[value], (x, y)))
+            seen[value] = (x, y)
     for value in range(prefix):
         if value not in seen:
             return fail("missing", (value,))
@@ -263,7 +272,8 @@ class SearchReport:
 _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
 _MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
 _FULL_SCREEN_SLICE = 1024  # rows per batch of the later tiers, to cap the value matrix size
-_CHUNK_ROWS = 1 << 17  # candidate rows per chunk at most, whatever the bound
+_CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
+_SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
 
 # The lattice triangle {(i, j) : i + j <= 2}, as offsets from its corner.
 _TRIANGLE = tuple((i, j) for i in range(3) for j in range(3 - i))
@@ -308,49 +318,55 @@ def _cosets(bounds: tuple[int, ...], sublattice: bool) -> list[tuple[range, ...]
 
 
 def _chunk_plan(cosets: list[tuple[range, ...]]) -> dict[tuple[range, ...], int]:
-    """Boxes of leading-column values -> candidate rows per chunk.
+    """Boxes of leading-column values -> candidates per chunk.
 
     Each point of a box keys one chunk.  Two cosets have equal or disjoint
     leading ranges, so the boxes are disjoint.  The sweep splits on (k20,
-    k11) at least, and on further leading columns while a chunk would exceed
-    _CHUNK_ROWS rows.
+    k11) at least, and on further shape columns while a chunk would exceed
+    _CHUNK_ROWS candidates.  k00 is solved by the screen, never swept, so no
+    chunk is keyed on it; a chunk holds at most _CHUNK_ROWS shape rows.
     """
-    for depth in range(2, len(cosets[0]) + 1):
+    for depth in range(2, _SHAPE_COLUMNS + 1):
         plan: dict[tuple[range, ...], int] = {}
         for box in cosets:
             head = box[:depth]
             plan[head] = plan.get(head, 0) + math.prod(len(r) for r in box[depth:])
-        if max(plan.values()) <= _CHUNK_ROWS:  # single rows at the latest
+        if max(plan.values()) <= _CHUNK_ROWS:  # single shapes at the latest
             break
     return plan
 
 
 def _candidate_rows(fixed: tuple[int, ...]) -> np.ndarray:
-    """Candidate numerator tuples of one chunk: the `fixed` leading columns, then
-    every completion of the trailing ones in the swept cosets (see _cosets)."""
+    """Shape rows (k20, k11, k02, k10, k01) of one chunk: the `fixed` leading
+    columns, then every completion of the other shape columns in the swept
+    cosets (see _cosets).  The screen solves k00."""
     blocks = []
     for box in _WORK["cosets"]:
         if all(v in r for v, r in zip(fixed, box)):
             axes = [np.array([v], dtype=np.int64) for v in fixed]
-            axes += [np.arange(r.start, r.stop, r.step, dtype=np.int64) for r in box[len(fixed):]]
+            axes += [np.arange(r.start, r.stop, r.step, dtype=np.int64)
+                     for r in box[len(fixed):_SHAPE_COLUMNS]]
             grids = np.meshgrid(*axes, indexing="ij")
             blocks.append(np.column_stack([g.reshape(-1) for g in grids]))
     return np.concatenate(blocks)
 
 
 def _screen(rows: np.ndarray, basis: np.ndarray, prefix: int | None) -> np.ndarray:
-    """Exact int64 filter: evenness, nonnegativity, distinctness, and (full tier)
-    coverage of {0..prefix-1}, which for distinct nonnegative integers is just a
-    count; the count runs first, as it is cheaper than the sort it spares."""
-    values = rows @ basis.T  # 2*f at each point, exactly
-    keep = ((values & 1) == 0).all(axis=1) & (values >= 0).all(axis=1)
+    """Exact int64 filter of shape rows: keeps a shape iff some k00 in the box
+    passes (point 2 of the module docstring), and at the full tier returns
+    each kept shape with its one k00 appended.  Coverage of {0..prefix-1} by
+    distinct nonnegative integers is a count, which runs first as it is
+    cheaper than the sort it spares."""
+    values = rows @ basis.T  # 2*f - k00 at each point, exactly; 0 at the origin
+    lo = -values.min(axis=1)  # the least k00 that makes 2*f nonnegative
+    keep = ((np.bitwise_or.reduce(values, axis=1) & 1) == 0) & (lo <= _WORK["bound"])
     if prefix is not None:
-        keep &= (values < 2 * prefix).sum(axis=1) == prefix
-    rows, values = rows[keep], values[keep]
+        keep &= (values < (2 * prefix - lo)[:, None]).sum(axis=1) == prefix
+    rows, values, lo = rows[keep], values[keep], lo[keep]
     if rows.size:
-        ordered = np.sort(values, axis=1)
-        rows = rows[(np.diff(ordered, axis=1) != 0).all(axis=1)]
-    return rows
+        distinct = (np.diff(np.sort(values, axis=1), axis=1) != 0).all(axis=1)
+        rows, lo = rows[distinct], lo[distinct]
+    return rows if prefix is None else np.column_stack([rows, lo])
 
 
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -366,9 +382,10 @@ def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _monomial_basis(points: list[Point]) -> np.ndarray:
+    """x^2, xy, y^2, x, y at each point: the shape columns, without the constant."""
     xs = np.array([p[0] for p in points], dtype=np.int64)
     ys = np.array([p[1] for p in points], dtype=np.int64)
-    return np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys, np.ones_like(xs)])
+    return np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys])
 
 
 def _poly_from_numerators(nums: tuple[int, ...]) -> QuadPoly:
@@ -384,10 +401,13 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
         raise SectorPackError(f"coefficient bound must be positive, got {coeff_bound}")
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
+    if workers is not None and workers < 1:
+        raise SectorPackError(f"workers must be positive, got {workers}")
 
     bound = 2 * coeff_bound  # numerators of the half-integer lattice
     # same region as verify_packing, so the screen is exactly its restriction
-    _, points = _examined_region(sector, prefix)
+    points = [(x, y) for x, top in enumerate(_examined_region(sector, prefix))
+              for y in range(top + 1)]
     full_basis = _monomial_basis(points)
     # int64 safety: the largest |2*f| over the region must stay well inside the range
     worst = 6 * bound * int(np.abs(full_basis).max())
@@ -400,6 +420,7 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     cosets = _cosets(bounds, _has_triangle(points))
     payload = {
         "cosets": cosets,
+        "bound": bound,  # the largest k00 of every coset
         "prefix": prefix,
         "screen_basis": full_basis[:_SCREEN_POINTS],
         "middle_basis": full_basis[:_MIDDLE_POINTS],

@@ -34,6 +34,7 @@ class TestParsers:
                      ["verify", "--family", "cantor-f", "--prefix", token],
                      ["search", "--slope", "1", "--bound", token],
                      ["search", "--slope", "1", "--prefix", token],
+                     ["search", "--slope", "1", "--workers", token],
                      ["layout", "--family", "cantor-f", "--count", token]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -182,6 +183,23 @@ class TestSearch:
     def test_infinite_slope_is_domain_error(self, capsys):
         status, _, _ = run(capsys, "search", "--slope", "inf", "--bound", "1", "--prefix", "10")
         assert status == 1
+
+    def test_worker_counts_agree(self, capsys):
+        outs = []
+        for workers in ("1", "2"):
+            status, out, _ = run(capsys, "search", "--slope", "1", "--bound", "2",
+                                 "--prefix", "50", "--workers", workers)
+            assert status == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert len(json.loads(outs[0])["survivors"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_domain_error(self, capsys, workers):
+        status, out, err = run(capsys, "search", "--slope", "1", "--bound", "1",
+                               "--workers", workers)
+        assert (status, out) == (1, "")
+        assert err == f"error: workers must be positive, got {workers}\n"
 
 
 class TestBasis:

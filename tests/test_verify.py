@@ -146,12 +146,29 @@ class TestSearch:
             search_quadratic(I1, 0, 100)
         with pytest.raises(SectorPackError):
             linear_impossibility_check(I1, 2, 0)
+        with pytest.raises(SectorPackError, match="workers must be positive, got 0"):
+            search_quadratic(I1, 1, 50, workers=0)
 
     def test_report_json_shape(self):
         report = linear_impossibility_check(Sector(Slope(3, 2)), 2, 100)
         obj = json.loads(report.to_json())
         assert obj == {"sector": "3/2", "degree": 1, "coeff_bound": 2,
                        "prefix": 100, "survivors": [], "exhausted": True}
+
+    # the bound-2 box, past the reach of TestSearchOracle's plain loop; at
+    # this bound slope 1/2 keeps only one of its pair (the other has y: -5/2)
+    @pytest.mark.parametrize("slope, survivors", [
+        ("1", ["1/2*x^2 + 1/2*x + y", "1/2*x^2 + 3/2*x - y"]),
+        ("1/2", ["1/2*x^2 - x*y + 1/2*y^2 + 1/2*x + 1/2*y"]),
+        ("1/3", ["1/2*x^2 - 2*x*y + 2*y^2 + 1/2*x"]),
+        ("2", ["x^2 + y", "x^2 + 2*x - y"]),
+        ("3/2", []),
+        ("2/5", []),
+    ])
+    def test_bound_2_survivors(self, slope, survivors):
+        report = search_quadratic(Sector(parse_slope(slope)), 2, 50, workers=1)
+        assert report.exhausted
+        assert [str(f) for f in report.survivors] == survivors
 
     def test_survivors_serialize_canonically(self):
         report = search_quadratic(I1, 2, 300)
@@ -212,14 +229,27 @@ class TestChunkPlan:
             rows = []
             for head, size in plan.items():
                 for key in itertools.product(*head):
-                    chunk = verify._candidate_rows(key).tolist()
-                    assert len(chunk) == size and all(row[:len(key)] == list(key) for row in chunk)
-                    rows.extend(map(tuple, chunk))
+                    shapes = verify._candidate_rows(key).tolist()
+                    assert all(shape[:len(key)] == list(key) for shape in shapes)
+                    # a shape row stands for its coset's whole k00 range
+                    chunk = []
+                    for shape in shapes:
+                        [box] = [box for box in cosets if all(v in r for v, r in zip(shape, box))]
+                        chunk.extend((*shape, k00) for k00 in box[5])
+                    assert len(chunk) == size
+                    rows.extend(chunk)
             box = itertools.product(*(range(-b, b + 1) for b in bounds))
             swept = [k for k in box if not sublattice or
                      (k[1] % 2 == 0 and k[5] % 2 == 0 and k[5] >= 0
                       and (k[3] - k[0]) % 2 == 0 and (k[4] - k[2]) % 2 == 0)]
             assert sorted(rows) == swept, degree
+
+    def test_chunks_never_key_on_k00(self, monkeypatch):
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", 1)
+        for degree in (1, 2):
+            for sublattice in (True, False):
+                plan = verify._chunk_plan(verify._cosets(_bounds(degree, 2), sublattice))
+                assert max(len(head) for head in plan) == 5, (degree, sublattice)
 
     def test_split_sweep_is_unchanged(self, monkeypatch):
         for degree, (sweep, cap) in _SWEEPS.items():
