@@ -12,7 +12,7 @@ import json
 import sys
 
 from .core import Sector, SectorPackError, _is_ascii_number, parse_slope
-from .packing import PackingFamily, parse_family
+from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
 from .verify import (OrderKind, enumerate_sector, linear_impossibility_check,

@@ -1,4 +1,4 @@
-"""Slopes, integer sectors, membership, counting, and the free-basis decision.
+"""Slopes, integer sectors, membership, and the free-basis decision.
 
 A sector slope is a reduced positive fraction r/s or infinity.  The integer
 sector of slope r/s is the set of lattice points (x, y) with x, y >= 0 and
@@ -124,15 +124,6 @@ class Sector:
         if self.slope.is_infinite:
             raise SectorPackError("columns of the infinite sector are unbounded")
         return (self.slope.r * x) // self.slope.s
-
-    def prefix_count(self, n: int) -> int:
-        """Number of sector points with x <= n: sum of (floor(r*j/s) + 1) for j = 0..n."""
-        if self.slope.is_infinite:
-            raise SectorPackError("prefix_count is defined for finite slopes only")
-        if n < 0:
-            raise SectorPackError(f"column bound must be nonnegative, got {n}")
-        r, s = self.slope.r, self.slope.s
-        return sum((r * j) // s + 1 for j in range(n + 1))
 
     def free_basis(self) -> tuple[Point, Point] | None:
         """The unique free basis of the sector semigroup, or None if it is not free.

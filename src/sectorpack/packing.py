@@ -55,8 +55,6 @@ class PackingFamily:
     """A verified packing function: a sector and the block model that counts it."""
 
     kind: FamilyKind
-    r: int | None
-    s: int | None
     sector: Sector
     d: int
     period: int
@@ -67,9 +65,10 @@ class PackingFamily:
         """CLI name: cantor-f, steep-f:r, div-f:r/s, quasi:r/s, ..."""
         if self.kind in (FamilyKind.CANTOR_F, FamilyKind.CANTOR_G):
             return self.kind.value
+        slope = self.sector.slope
         if self.kind in (FamilyKind.STEEP_F, FamilyKind.STEEP_G):
-            return f"{self.kind.value}:{self.r}"
-        return f"{self.kind.value}:{self.r}/{self.s}"
+            return f"{self.kind.value}:{slope.r}"
+        return f"{self.kind.value}:{slope.r}/{slope.s}"
 
     @cached_property
     def form(self) -> Union[QuadPoly, QuasiPoly]:
@@ -132,7 +131,7 @@ def cantor(variant: str) -> PackingFamily:
     G = ((x+y)^2 + 3x + y)/2 from the y-axis down.
     """
     kind = FamilyKind.CANTOR_F if _require_variant(variant) == "F" else FamilyKind.CANTOR_G
-    return PackingFamily(kind, None, None, Sector(Slope.infinite()), -1, 1, variant == "G")
+    return PackingFamily(kind, Sector(Slope.infinite()), -1, 1, variant == "G")
 
 
 def steep(variant: str, r: int) -> PackingFamily:
@@ -144,37 +143,27 @@ def steep(variant: str, r: int) -> PackingFamily:
     kind = FamilyKind.STEEP_F if _require_variant(variant) == "F" else FamilyKind.STEEP_G
     if r < 1:
         raise SectorPackError(f"slope must be a positive integer, got {r}")
-    return PackingFamily(kind, r, 1, Sector(Slope(r, 1)), 0, 1, variant == "G")
+    return PackingFamily(kind, Sector(Slope(r, 1)), 0, 1, variant == "G")
 
 
-def _require_divides_params(r: int, s: int) -> int:
-    """Validate the divides-family preconditions and return the step d = (s-1)/r."""
+def _coprime_sector(r: int, s: int) -> Sector:
+    """The sector of slope r/s, for positive coprime parameters taken literally."""
     if r < 1 or s < 1:
         raise SectorPackError(f"parameters must be positive, got ({r}, {s})")
     if gcd(r, s) != 1:
         raise SectorPackError(f"parameters ({r}, {s}) are not coprime")
-    if not r < s:
-        raise SectorPackError(f"need r < s, got ({r}, {s})")
-    if (s - 1) % r != 0:
-        raise SectorPackError(f"{r} does not divide {s} - 1")
-    return (s - 1) // r
+    return Sector(Slope(r, s))
 
 
 def divides(variant: str, r: int, s: int) -> PackingFamily:
     """Packing polynomials on the slope-r/s sector when r divides s-1, by slanted blocks."""
     kind = FamilyKind.DIVIDES_F if _require_variant(variant) == "F" else FamilyKind.DIVIDES_G
-    d = _require_divides_params(r, s)
-    return PackingFamily(kind, r, s, Sector(Slope(r, s)), d, 1, variant == "G")
-
-
-def sector_decompose(r: int, s: int, p: Point) -> tuple[int, int]:
-    """Locate p in its slanted block: (a, j) with p = (a + d*j, j), 0 <= j <= r*a."""
-    d = _require_divides_params(r, s)
-    Sector(Slope(r, s)).require(p)
-    x, y = p
-    a = x - d * y
-    assert 0 <= y <= r * a, "block decomposition out of range for a sector point"
-    return (a, y)
+    sector = _coprime_sector(r, s)
+    if not r < s:
+        raise SectorPackError(f"need r < s, got ({r}, {s})")
+    if (s - 1) % r != 0:
+        raise SectorPackError(f"{r} does not divide {s} - 1")
+    return PackingFamily(kind, sector, (s - 1) // r, 1, variant == "G")
 
 
 def quasi_h(r: int, s: int) -> PackingFamily:
@@ -184,11 +173,7 @@ def quasi_h(r: int, s: int) -> PackingFamily:
     packing polynomial into every s-th value.  For s = 1 the single branch
     collapses to the integer-slope polynomial steep("F", r).
     """
-    if r < 1 or s < 1:
-        raise SectorPackError(f"parameters must be positive, got ({r}, {s})")
-    if gcd(r, s) != 1:
-        raise SectorPackError(f"parameters ({r}, {s}) are not coprime")
-    return PackingFamily(FamilyKind.QUASI_H, r, s, Sector(Slope(r, s)), 0, s, False)
+    return PackingFamily(FamilyKind.QUASI_H, _coprime_sector(r, s), 0, s, False)
 
 
 def parse_family(name: str) -> PackingFamily:

@@ -62,10 +62,6 @@ class QuadPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "QuadPoly":
-        return QuadPoly()
-
-    @staticmethod
     def constant(c: RationalLike) -> "QuadPoly":
         return QuadPoly(c00=Fraction(c))
 
@@ -159,8 +155,9 @@ class QuadPoly:
         Lets hot loops evaluate with plain integers: the value at (x, y) is an
         integer exactly when den divides the integer combination.
         """
-        den = lcm(*(c.denominator for c in self.coefficients()))
-        return den, tuple(int(c * den) for c in self.coefficients())
+        coeffs = self.coefficients()
+        den = lcm(*(c.denominator for c in coeffs))
+        return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
     def __str__(self) -> str:
         parts = []
@@ -188,12 +185,9 @@ class QuasiPoly:
             raise SectorPackError(
                 f"expected {self.period} branches, got {len(self.branches)}")
 
-    def branch_for(self, p: Point) -> QuadPoly:
-        return self.branches[p[0] % self.period]
-
     def evaluate(self, p: Point) -> Fraction:
         """Exact value at p, dispatching on x mod period (never on y)."""
-        return self.branch_for(p).evaluate(p)
+        return self.branches[p[0] % self.period].evaluate(p)
 
 
 PolyLike = Union[QuadPoly, QuasiPoly]

@@ -2,8 +2,8 @@
 
 The named factories build the maps that move packing problems between
 sectors: shears onto reciprocal-integer sectors, the basis swap, and the
-two sector involutions.  All maps here are unimodular; composition,
-inversion, and involution testing stay in exact integer arithmetic.
+two sector involutions.  All maps here are unimodular; composition and
+inversion stay in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class LinearMap2:
         if det == -1:
             return LinearMap2(-self.d, self.b, self.c, -self.a)
         raise SectorPackError(f"map with determinant {det} has no integer inverse")
-
-    def is_involution(self) -> bool:
-        return self.compose(self) == LinearMap2.identity()
 
     def rows(self) -> tuple[int, int, int, int]:
         """Entries in row-major order (a, b, c, d)."""

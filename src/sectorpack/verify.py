@@ -52,20 +52,17 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .core import Point, Sector, SectorPackError
-from .packing import FamilyKind, PackingFamily
-from .poly import QuadPoly, QuasiPoly, _quad_to_object
-
-PolyLike = Union[QuadPoly, QuasiPoly]
+from .poly import PolyLike, QuadPoly, _quad_to_object
 
 # Base examined-region size as a multiple of the requested prefix; the
-# effective margin is max(COVERAGE_MARGIN, 2s) for slope denominator s, see
+# effective margin is max(_COVERAGE_MARGIN, 2s) for slope denominator s, see
 # _examined_region.
-COVERAGE_MARGIN = 4
+_COVERAGE_MARGIN = 4
 
 
 class OrderKind(Enum):
@@ -82,22 +79,6 @@ class OrderKind(Enum):
     BLOCK_BOTTOM_UP = "block-bottom-up"
     BLOCK_TOP_DOWN = "block-top-down"
     RESIDUE_INTERLEAVED = "residue-interleaved"
-
-
-_FAMILY_ORDERS = {
-    FamilyKind.CANTOR_F: OrderKind.DIAGONAL,
-    FamilyKind.CANTOR_G: OrderKind.REVERSE_DIAGONAL,
-    FamilyKind.STEEP_F: OrderKind.COLUMN_BOTTOM_UP,
-    FamilyKind.STEEP_G: OrderKind.COLUMN_TOP_DOWN,
-    FamilyKind.DIVIDES_F: OrderKind.BLOCK_BOTTOM_UP,
-    FamilyKind.DIVIDES_G: OrderKind.BLOCK_TOP_DOWN,
-    FamilyKind.QUASI_H: OrderKind.RESIDUE_INTERLEAVED,
-}
-
-
-def order_for_family(family: PackingFamily) -> OrderKind:
-    """The precise enumeration order a family's polynomial realizes."""
-    return _FAMILY_ORDERS[family.kind]
 
 
 def _iter_diagonal(reverse: bool) -> Iterator[Point]:
@@ -184,14 +165,14 @@ class PackingVerdict:
 def _examined_region(sector: Sector, prefix: int) -> list[int]:
     """Top y of each column of the examined region, from column 0: the fewest
     columns (or, for the quadrant, the smallest square) holding at least
-    max(COVERAGE_MARGIN, 2s) * prefix points, for slope r/s.
+    max(_COVERAGE_MARGIN, 2s) * prefix points, for slope r/s.
 
     Block-enumerating polynomials place preimages of rank < n as far out as
     column s*sqrt(2n/r), about s * prefix points in, so the flat base margin
     alone would miss them for larger denominators (and s alone leaves no
     headroom).
     """
-    target = max(COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
+    target = max(_COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
     if sector.slope.is_infinite:
         side = math.isqrt(target - 1) + 1  # smallest side with side^2 >= target
         return [side - 1] * side
@@ -255,18 +236,15 @@ class SearchReport:
     survivors: tuple[QuadPoly, ...]
     exhausted: bool
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "sector": str(self.sector.slope),
             "degree": self.degree,
             "coeff_bound": self.coeff_bound,
             "prefix": self.prefix,
             "survivors": [_quad_to_object(f) for f in self.survivors],
             "exhausted": self.exhausted,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        }, separators=(",", ":"))
 
 
 _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
@@ -274,9 +252,6 @@ _MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
 _FULL_SCREEN_SLICE = 1024  # rows per batch of the later tiers, to cap the value matrix size
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
-
-# The lattice triangle {(i, j) : i + j <= 2}, as offsets from its corner.
-_TRIANGLE = tuple((i, j) for i in range(3) for j in range(3 - i))
 
 # worker payload, installed once per process by _search_init
 _WORK: dict = {}
@@ -286,15 +261,17 @@ def _search_init(payload: dict) -> None:
     _WORK.update(payload)
 
 
-def _has_triangle(points: list[Point]) -> bool:
-    """Whether the points hold a translate of _TRIANGLE.
+def _has_triangle(tops: list[int]) -> bool:
+    """Whether the region with these column tops holds a lattice triangle
+    {(a+i, b+j) : i + j <= 2}.
 
-    A quadratic with integer values on such a triangle has integer values on
-    all of Z^2: its coefficients in the binomial basis C(x,2), xy, C(y,2), x,
-    y, 1 about the corner are integer differences of those six values.
+    The tops never decrease, so if any triangle fits, the one with corner
+    (len(tops) - 3, 0) does.  A quadratic with integer values on such a
+    triangle has integer values on all of Z^2: its coefficients in the
+    binomial basis C(x,2), xy, C(y,2), x, y, 1 about the corner are integer
+    differences of those six values.
     """
-    have = set(points)
-    return any(all((a + i, b + j) in have for i, j in _TRIANGLE) for a, b in points)
+    return len(tops) >= 3 and tops[-3] >= 2
 
 
 def _cosets(bounds: tuple[int, ...], sublattice: bool) -> list[tuple[range, ...]]:
@@ -406,8 +383,8 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
 
     bound = 2 * coeff_bound  # numerators of the half-integer lattice
     # same region as verify_packing, so the screen is exactly its restriction
-    points = [(x, y) for x, top in enumerate(_examined_region(sector, prefix))
-              for y in range(top + 1)]
+    tops = _examined_region(sector, prefix)
+    points = [(x, y) for x, top in enumerate(tops) for y in range(top + 1)]
     full_basis = _monomial_basis(points)
     # int64 safety: the largest |2*f| over the region must stay well inside the range
     worst = 6 * bound * int(np.abs(full_basis).max())
@@ -417,7 +394,7 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     bounds = (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
     # a candidate off the integer-valued sublattice is odd somewhere on any
     # lattice triangle, so with one in the region the screen would reject it
-    cosets = _cosets(bounds, _has_triangle(points))
+    cosets = _cosets(bounds, _has_triangle(tops))
     payload = {
         "cosets": cosets,
         "bound": bound,  # the largest k00 of every coset

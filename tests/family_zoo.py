@@ -2,7 +2,22 @@
 
 from math import gcd
 
-from sectorpack import cantor, divides, quasi_h, steep
+from sectorpack import FamilyKind, OrderKind, cantor, divides, quasi_h, steep
+
+_FAMILY_ORDERS = {
+    FamilyKind.CANTOR_F: OrderKind.DIAGONAL,
+    FamilyKind.CANTOR_G: OrderKind.REVERSE_DIAGONAL,
+    FamilyKind.STEEP_F: OrderKind.COLUMN_BOTTOM_UP,
+    FamilyKind.STEEP_G: OrderKind.COLUMN_TOP_DOWN,
+    FamilyKind.DIVIDES_F: OrderKind.BLOCK_BOTTOM_UP,
+    FamilyKind.DIVIDES_G: OrderKind.BLOCK_TOP_DOWN,
+    FamilyKind.QUASI_H: OrderKind.RESIDUE_INTERLEAVED,
+}
+
+
+def order_for_family(family):
+    """The enumeration order a family's polynomial realizes."""
+    return _FAMILY_ORDERS[family.kind]
 
 
 def divides_pairs(max_s):

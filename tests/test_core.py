@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sectorpack import (Sector, SectorPackError, Slope, SlopeSyntaxError,
-                        parse_slope)
+from sectorpack import Sector, Slope, SlopeSyntaxError, parse_slope
 
 
 class TestParseSlope:
@@ -83,36 +82,6 @@ class TestContains:
                 else:
                     expected = Fraction(y, x) <= Fraction(r, s)
                 assert sector.contains((x, y)) == expected
-
-
-class TestPrefixCount:
-    def test_examples(self):
-        assert Sector(Slope(3, 2)).prefix_count(2) == 7
-        assert Sector(Slope(1, 2)).prefix_count(0) == 1
-        assert Sector(Slope(1, 1)).prefix_count(3) == 10
-
-    def test_infinite_rejected(self):
-        with pytest.raises(SectorPackError):
-            Sector(Slope.infinite()).prefix_count(5)
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(SectorPackError):
-            Sector(Slope(1, 1)).prefix_count(-1)
-
-    def test_matches_exhaustive_count(self):
-        # count by scanning the membership predicate column by column
-        for r in range(1, 11):
-            for s in range(1, 11):
-                if gcd(r, s) != 1:
-                    continue
-                sector = Sector(Slope(r, s))
-                total = 0
-                for x in range(51):
-                    y = 0
-                    while sector.contains((x, y)):
-                        total += 1
-                        y += 1
-                    assert sector.prefix_count(x) == total
 
 
 class TestFreeBasis:

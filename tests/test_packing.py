@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorpack import (OutsideSectorError, QuadPoly,
-                        SectorPackError, cantor, divides, enumerate_sector,
-                        order_for_family, parse_family, psi_map, quasi_h,
-                        sector_decompose, steep)
+from sectorpack import (OutsideSectorError, QuadPoly, SectorPackError,
+                        cantor, divides, enumerate_sector, parse_family,
+                        psi_map, quasi_h, steep)
 
-from family_zoo import all_families, divides_pairs, sector_points
+from family_zoo import (all_families, divides_pairs, order_for_family,
+                        sector_points)
 
 
 class TestConstructors:
@@ -66,29 +66,6 @@ class TestConstructors:
             fam = quasi_h(r, 1)
             assert fam.form.period == 1
             assert fam.form.branches[0] == steep("F", r).form
-
-
-class TestSectorDecompose:
-    def test_examples(self):
-        assert sector_decompose(2, 3, (3, 1)) == (2, 1)
-        assert sector_decompose(1, 2, (2, 1)) == (1, 1)
-        for a in range(6):
-            assert sector_decompose(2, 3, (a, 0)) == (a, 0)
-
-    def test_rejects_outside_point(self):
-        with pytest.raises(OutsideSectorError):
-            sector_decompose(2, 3, (1, 1))
-
-    def test_blocks_tile_the_sector(self):
-        # decomposition inverts the block parameterization and the block
-        # index never exceeds the stated range
-        for r, s in divides_pairs(8):
-            d = (s - 1) // r
-            fam = divides("F", r, s)
-            for p in sector_points(fam.sector, 40):
-                a, j = sector_decompose(r, s, p)
-                assert p == (a + d * j, j)
-                assert 0 <= j <= r * a
 
 
 class TestRank:
@@ -170,6 +147,20 @@ class TestBlockModel:
                     point = _block_point(family, ell, a, offset)
                     assert branch.evaluate(point) == _block_rank(family, ell, a, offset), \
                         (family.name, ell, a, offset)
+
+    def test_blocks_tile_the_sector_for_all_n(self):
+        # Offset j of block a in class ell is (x, y) = (period*a + ell + d*j, j).
+        # In s*y <= r*x this is (s - r*d)*j <= r*(period*a + ell), which reads
+        # j <= r*a + c - 1 with c = r*ell // period + 1 exactly when
+        #   s - r*d == 1 and period == 1 (so ell = 0, c = 1): j <= r*a;
+        #   d == 0 and period == s: floor(r*(s*a + ell)/s) = r*a + c - 1.
+        # The quadrant is r = 1, s = 0.  As c - 1 < r, j >= 0 forces a >= 0, so
+        # every sector point lies in exactly one block; with the form test
+        # above, rank(unrank(n)) is a bijection onto the sector for all n.
+        for family in all_families(10):
+            r, s = family.sector.slope.r, family.sector.slope.s
+            d, period = family.d, family.period
+            assert (s - r * d == 1 and period == 1) or (d == 0 and period == s), family.name
 
     def test_unrank_at_block_boundaries(self):
         # an off-by-one in the isqrt step shows at the ranks around a block start

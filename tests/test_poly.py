@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sectorpack import (LinearMap2, PolySyntaxError, QuadPoly, QuasiPoly,
@@ -39,7 +39,7 @@ class TestEvaluate:
     def test_quasi_branch_ignores_y(self):
         # same branch for every y in a fixed column
         for y in range(5):
-            assert H_32.branch_for((3, y)) is H_32.branches[1]
+            assert H_32.evaluate((3, y)) == H_32.branches[1].evaluate((3, y))
 
 
 class TestAlgebra:
@@ -131,14 +131,19 @@ class TestIntegrality:
             for branch in quasi_h(r, s).form.branches:
                 assert all((2 * s) % c.denominator == 0 for c in branch.coefficients())
 
-    def test_scaled_integer_form(self):
-        for f in (F_INF, F_1, H_32.branches[1]):
-            den, coeffs = f.scaled_integer_form()
-            for p in [(0, 0), (4, 1), (9, 3)]:
-                x, y = p
-                combo = (coeffs[0] * x * x + coeffs[1] * x * y + coeffs[2] * y * y
-                         + coeffs[3] * x + coeffs[4] * y + coeffs[5])
-                assert Fraction(combo, den) == f.evaluate(p)
+    @given(st.lists(st.fractions(max_denominator=1000), min_size=6, max_size=6))
+    @example(list(F_INF.coefficients()))
+    @example(list(F_1.coefficients()))
+    @example(list(H_32.branches[1].coefficients()))
+    def test_scaled_integer_form(self, coeffs):
+        f = QuadPoly(*coeffs)
+        den, ints = f.scaled_integer_form()
+        assert den >= 1 and [Fraction(k, den) for k in ints] == coeffs
+        for p in [(0, 0), (4, 1), (9, 3)]:
+            x, y = p
+            combo = (ints[0] * x * x + ints[1] * x * y + ints[2] * y * y
+                     + ints[3] * x + ints[4] * y + ints[5])
+            assert Fraction(combo, den) == f.evaluate(p)
 
 
 class TestSerialization:
@@ -146,8 +151,8 @@ class TestSerialization:
         assert serialize(F_1) == '{"x2":"1/2","x":"1/2","y":"1"}'
 
     def test_zero_poly(self):
-        assert serialize(QuadPoly.zero()) == "{}"
-        assert deserialize("{}") == QuadPoly.zero()
+        assert serialize(QuadPoly()) == "{}"
+        assert deserialize("{}") == QuadPoly()
 
     @pytest.mark.parametrize("name,form", [
         ("f_inf.json", F_INF),
@@ -204,7 +209,7 @@ class TestSerialization:
 class TestQuasiConstruction:
     def test_branch_count_must_match_period(self):
         with pytest.raises(SectorPackError):
-            QuasiPoly(3, (QuadPoly.zero(),))
+            QuasiPoly(3, (QuadPoly(),))
 
     def test_expansion_matches_divides_pairs(self):
         # spot-check: evaluating any branch is an ordinary polynomial evaluation

@@ -1,16 +1,18 @@
+import ast
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from sectorpack import (OrderKind, QuadPoly, Sector, SectorPackError, Slope,
-                        cantor, divides, enumerate_sector,
-                        linear_impossibility_check, order_for_family,
-                        parse_slope, quasi_h, search_quadratic, steep, verify,
+                        cantor, enumerate_sector, linear_impossibility_check,
+                        parse_slope, search_quadratic, steep, verify,
                         verify_packing)
 
-from family_zoo import all_families
+from family_zoo import all_families, order_for_family
 
 I1 = Sector(Slope(1, 1))
 QUADRANT = Sector(Slope.infinite())
@@ -265,12 +267,35 @@ class TestChunkPlan:
             assert seen[-1][0] == seen[-1][1] > unsplit, degree
 
 
-class TestOrderForFamily:
-    def test_mapping(self):
-        assert order_for_family(cantor("F")) is OrderKind.DIAGONAL
-        assert order_for_family(cantor("G")) is OrderKind.REVERSE_DIAGONAL
-        assert order_for_family(steep("F", 3)) is OrderKind.COLUMN_BOTTOM_UP
-        assert order_for_family(steep("G", 3)) is OrderKind.COLUMN_TOP_DOWN
-        assert order_for_family(divides("F", 2, 3)) is OrderKind.BLOCK_BOTTOM_UP
-        assert order_for_family(divides("G", 1, 4)) is OrderKind.BLOCK_TOP_DOWN
-        assert order_for_family(quasi_h(3, 2)) is OrderKind.RESIDUE_INTERLEAVED
+class TestHasTriangle:
+    @staticmethod
+    def _holds_triangle(tops):
+        """Reference: look for {(a+i, b+j) : i + j <= 2} among the region's points."""
+        have = {(x, y) for x, top in enumerate(tops) for y in range(top + 1)}
+        triangle = [(i, j) for i in range(3) for j in range(3 - i)]
+        return any(all((a + i, b + j) in have for i, j in triangle) for a, b in have)
+
+    def test_matches_point_set_check(self):
+        slopes = [Slope(r, s) for r in range(1, 7) for s in range(1, 7) if gcd(r, s) == 1]
+        for slope in slopes + [Slope.infinite()]:
+            for prefix in range(1, 31):
+                tops = verify._examined_region(Sector(slope), prefix)
+                assert verify._has_triangle(tops) == self._holds_triangle(tops), (slope, prefix)
+
+
+class TestOracleIndependence:
+    def test_verify_imports_only_core_and_poly(self):
+        # the oracles must not depend on the families they are used to check
+        tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                paths = [alias.name.split(".") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                head = ["sectorpack"] * bool(node.level) + (node.module or "").split(".")
+                paths = [[part for part in head if part] + [alias.name] for alias in node.names]
+            else:
+                continue
+            # a bare "import sectorpack" shows as "", as it imports every module
+            imported.update("".join(path[1:2]) for path in paths if path[0] == "sectorpack")
+        assert imported == {"core", "poly"}
