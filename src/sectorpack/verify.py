@@ -9,7 +9,11 @@ a plain `OrderKind`; the slope supplies its block step or residue period.
 sector: values must be nonnegative integers, pairwise distinct, and cover
 {0..prefix-1}.  The examined region holds a slope-dependent multiple of
 `prefix` points so that every preimage of a small value is actually looked
-at.
+at.  A column at a time decides pass or fail: on column x a branch is a
+quadratic in y, so its values are a running sum built by `accumulate`, with
+no product per point, and a set of values checks distinctness by its size.
+Only a failure walks the points, and only up to the failing column, to name
+the first witness in column order.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
 through a funnel of exact int64 screens, and certify the survivors with
@@ -185,39 +189,75 @@ def _examined_region(sector: Sector, prefix: int) -> list[int]:
     return tops
 
 
-def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
-    """Check the packing property of f on a prefix of the sector.
+def _scan_columns(forms: list, tops: list[int]) -> tuple[int | None, set[int]]:
+    """The first column holding a non-integer, negative or repeated value
+    (None if there is none), and the values of the columns before it.
 
-    Pass iff on the examined region (see _examined_region): all values are
-    nonnegative integers, pairwise distinct, and {0..prefix-1} all occur.
-    The points are walked column by column, so a failure stops the walk.
+    On column x the numerator is a*x^2 + d*x + g at y = 0, and steps up by
+    b*x + c + e + 2*c*y from y to y + 1.  So every value of the column is an
+    integer iff den divides the first value, the first step (when the column
+    has two points) and the second difference 2*c (when it has three).
     """
-    if prefix < 1:
-        raise SectorPackError(f"prefix must be positive, got {prefix}")
-    period = f.period
-    forms = [branch.scaled_integer_form() for branch in f.branches]
-    tops = _examined_region(sector, prefix)
-    bound, examined = len(tops) - 1, sum(tops) + len(tops)
+    period = len(forms)
+    seen: set[int] = set()
+    for x, top in enumerate(tops):
+        den, (a, b, c, d, e, g) = forms[x % period]
+        first, rise, step = a * x * x + d * x + g, b * x + c + e, 2 * c
+        if first % den or (top >= 1 and rise % den) or (top >= 2 and step % den):
+            return x, seen
+        first, rise, step = first // den, rise // den, step // den
+        rises = range(rise, rise + step * top, step) if step else itertools.repeat(rise, top)
+        column = list(itertools.accumulate(rises, initial=first))
+        if min(column) < 0:
+            return x, seen
+        size = len(seen)
+        seen.update(column)
+        if len(seen) - size < len(column):
+            return x, seen
+    return None, seen
+
+
+def _walk_points(forms: list, tops: list[int]) -> tuple[str, tuple]:
+    """The first failure and its witness, walking the region point by point
+    in column order; the region must hold a failure (see _scan_columns)."""
+    period = len(forms)
     seen: dict[int, Point] = {}
-
-    def fail(reason, witness):
-        return PackingVerdict(False, reason, witness, bound, examined)
-
     for x, top in enumerate(tops):
         den, (a, b, c, d, e, g) = forms[x % period]
         for y in range(top + 1):
             num = a * x * x + b * x * y + c * y * y + d * x + e * y + g
             if num % den:
-                return fail("non-integer", (x, y))
+                return "non-integer", (x, y)
             value = num // den
             if value < 0:
-                return fail("negative", (x, y))
+                return "negative", (x, y)
             if value in seen:
-                return fail("collision", (seen[value], (x, y)))
+                return "collision", (seen[value], (x, y))
             seen[value] = (x, y)
-    for value in range(prefix):
-        if value not in seen:
-            return fail("missing", (value,))
+    raise AssertionError("the column scan failed a region the point walk passes")
+
+
+def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
+    """Check the packing property of f on a prefix of the sector.
+
+    Pass iff on the examined region (see _examined_region): all values are
+    nonnegative integers, pairwise distinct, and {0..prefix-1} all occur.
+    The region is scanned a column at a time (see _scan_columns), which stops
+    at the first failing column; the points up to it are then walked to name
+    the first witness in column order.  A missing value needs no walk.
+    """
+    if prefix < 1:
+        raise SectorPackError(f"prefix must be positive, got {prefix}")
+    forms = [branch.scaled_integer_form() for branch in f.branches]
+    tops = _examined_region(sector, prefix)
+    bound, examined = len(tops) - 1, sum(tops) + len(tops)
+    failing, seen = _scan_columns(forms, tops)
+    if failing is not None:
+        reason, witness = _walk_points(forms, tops[:failing + 1])
+        return PackingVerdict(False, reason, witness, bound, examined)
+    if not seen.issuperset(range(prefix)):
+        missing = next(v for v in range(prefix) if v not in seen)
+        return PackingVerdict(False, "missing", (missing,), bound, examined)
     return PackingVerdict(True, None, None, bound, examined)
 
 

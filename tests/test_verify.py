@@ -6,11 +6,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from sectorpack import (OrderKind, QuadPoly, Sector, SectorPackError, Slope,
-                        cantor, enumerate_sector, linear_impossibility_check,
-                        parse_slope, search_quadratic, steep, verify,
-                        verify_packing)
+from sectorpack import (OrderKind, PackingVerdict, QuadPoly, QuasiPoly, Sector,
+                        SectorPackError, Slope, cantor, enumerate_sector,
+                        linear_impossibility_check, parse_slope,
+                        search_quadratic, steep, verify, verify_packing)
 
 from family_zoo import all_families, order_for_family
 
@@ -116,6 +118,80 @@ class TestVerifyPacking:
     def test_bad_prefix_rejected(self):
         with pytest.raises(SectorPackError):
             verify_packing(cantor("F").form, QUADRANT, 0)
+
+
+def _walk_verdict(f, sector, prefix):
+    """Reference: the verdict of a plain walk over every point of the region."""
+    forms = [branch.scaled_integer_form() for branch in f.branches]
+    tops = verify._examined_region(sector, prefix)
+    bound, examined = len(tops) - 1, sum(tops) + len(tops)
+    seen = {}
+
+    def fail(reason, witness):
+        return PackingVerdict(False, reason, witness, bound, examined)
+
+    for x, top in enumerate(tops):
+        den, (a, b, c, d, e, g) = forms[x % f.period]
+        for y in range(top + 1):
+            num = a * x * x + b * x * y + c * y * y + d * x + e * y + g
+            if num % den:
+                return fail("non-integer", (x, y))
+            value = num // den
+            if value < 0:
+                return fail("negative", (x, y))
+            if value in seen:
+                return fail("collision", (seen[value], (x, y)))
+            seen[value] = (x, y)
+    for value in range(prefix):
+        if value not in seen:
+            return fail("missing", (value,))
+    return PackingVerdict(True, None, None, bound, examined)
+
+
+@st.composite
+def _quadratics(draw):
+    """An integer-valued quadratic (integers in Polya's basis C(x,2), xy,
+    C(y,2), x, y, 1), so that most draws get past the first columns, plus
+    numerators over a denominator of 1 to 4, mostly 0."""
+    a, b, c, d, e, g = draw(st.lists(st.integers(-2, 3), min_size=6, max_size=6))
+    den = draw(st.integers(1, 4))
+    nums = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=6, max_size=6))
+    return (QuadPoly(Fraction(a, 2), b, Fraction(c, 2), d - Fraction(a, 2), e - Fraction(c, 2), g)
+            + QuadPoly(*(Fraction(k, den) for k in nums)))
+
+
+_CANDIDATES = st.one_of(
+    _quadratics(),
+    st.integers(2, 3).flatmap(lambda m: st.lists(_quadratics(), min_size=m, max_size=m)
+                              .map(lambda branches: QuasiPoly(m, branches))))
+# slope 1/5 at small prefixes has columns with tops 0 and 1
+_SLOPES = st.sampled_from([Slope.infinite(), Slope(1, 1), Slope(1, 5), Slope(3, 2), Slope(3, 5)])
+# on slope 1, each example fails one condition of the column scan only, and
+# passes it if that condition is dropped: den does not divide the first
+# value, the first step, the second difference; the least value is -1
+_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
+
+
+class TestColumnScan:
+    @given(_CANDIDATES, _SLOPES, st.integers(1, 60))
+    @example(QuadPoly(_HALF, 0, 0, _HALF, 1, _HALF), Slope(1, 1), 20)
+    @example(QuadPoly(_HALF, 0, 0, _HALF, 3 * _HALF, 0), Slope(1, 1), 20)
+    @example(QuadPoly(_HALF, 0, _QUARTER, _HALF, 3 * _QUARTER, 0), Slope(1, 1), 20)
+    @example(QuadPoly(_HALF, 0, 0, _HALF, 1, -1), Slope(1, 1), 20)
+    def test_matches_point_walk(self, f, slope, prefix):
+        sector = Sector(slope)
+        assert verify_packing(f, sector, prefix) == _walk_verdict(f, sector, prefix)
+
+    def test_matches_point_walk_on_shifted_families(self):
+        # near-packings: each verdict kind but "collision" shows here
+        for family in all_families(5):
+            for shift in (0, 1, -1, _HALF):
+                f = family.form
+                f = QuasiPoly(f.period, [b + QuadPoly.constant(shift) for b in f.branches])
+                for prefix in (1, 7, 60):
+                    assert verify_packing(f, family.sector, prefix) == \
+                        _walk_verdict(f, family.sector, prefix), (family.name, shift, prefix)
 
 
 class TestSearch:
