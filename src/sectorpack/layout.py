@@ -3,7 +3,9 @@
 A SectorArray stores the cell for point p at offset rank(p) in one
 contiguous, doubling buffer.  Because the family's rank is a bijection onto
 the nonnegative integers, distinct points never collide and a filled rank
-prefix is gap-free: n points occupy exactly the first n cells.
+prefix is gap-free: n points occupy exactly the first n cells.  Cell k holds
+the family's k-th point, so the dense fill and iteration walk the points in
+rank order (PackingFamily.walk) instead of unranking each offset.
 """
 
 from __future__ import annotations
@@ -82,20 +84,26 @@ class SectorArray:
         return None if value is _EMPTY else value
 
     def iterate(self) -> Iterator[tuple[Point, Any]]:
-        """Occupied cells in offset order, with points recovered by unrank."""
-        for offset, value in enumerate(self._cells):
+        """Occupied cells in offset order, each with its point from the family's walk.
+
+        The walk advances past empty cells too, so this costs one step per
+        cell of storage, occupied or not.
+        """
+        # cells first: zip stops at the buffer's end without stepping the walk
+        for value, p in zip(self._cells, self.family.walk()):
             if value is not _EMPTY:
-                yield self.family.unrank(offset), value
+                yield p, value
 
     def dense_prefix_fill(self, n: int, generator: Callable[[Point], Any]) -> None:
-        """Fill the cells of ranks 0..n-1; the packing property makes this gap-free."""
+        """Fill the cells of ranks 0..n-1 with generator(p), walking the points
+        in rank order; the packing property makes this gap-free."""
         if n < 0:
             raise SectorPackError(f"fill count must be nonnegative, got {n}")
         if n - 1 > sys.maxsize:
             raise CapacityError(f"fill count {n} exceeds the addressable range")
         self._grow_to(n - 1)  # a point's rank is its offset, so none is ranked again
-        for rank in range(n):
-            p = self.family.unrank(rank)
-            if self._cells[rank] is _EMPTY:
+        cells = self._cells
+        for rank, p in zip(range(n), self.family.walk()):
+            if cells[rank] is _EMPTY:
                 self._population += 1
-            self._cells[rank] = generator(p)
+            cells[rank] = generator(p)

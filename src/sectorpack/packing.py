@@ -17,9 +17,10 @@ top of the block when `top_down`.  The point's rank is
 
 The four integers r, d, period and top_down determine everything: `form`
 writes the count above in x and y, rank(p) evaluates it (asserting the value
-is a nonnegative integer), and unrank(n) solves the block-prefix quadratic
-for a in closed form with `math.isqrt`, so both directions are exact at any
-magnitude.
+is a nonnegative integer), unrank(n) solves the block-prefix quadratic for a
+in closed form with `math.isqrt`, so both directions are exact at any
+magnitude, and walk() lists the points in rank order block by block, with
+no solving at all.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, count, repeat
 from math import gcd, isqrt
-from typing import Union
+from typing import Iterator, Union
 
 from .core import Point, Sector, SectorPackError, Slope, _is_ascii_number
 from .poly import QuadPoly, QuasiPoly
@@ -116,6 +118,27 @@ class PackingFamily:
         offset = m - r * a * (a - 1) // 2 - c * a
         j = r * a + c - 1 - offset if self.top_down else offset
         return (period * a + ell + self.d * j, j)
+
+    def walk(self) -> Iterator[Point]:
+        """Every sector point in rank order, from rank 0: unrank(0), unrank(1), ...
+
+        Each block is a C-level zip of ranges, so Python code runs once per
+        block, not once per point; the classes interleave round-robin, as
+        rank = period*m + ell.
+        """
+        walks = [chain.from_iterable(self._blocks(ell)) for ell in range(self.period)]
+        return walks[0] if self.period == 1 else chain.from_iterable(zip(*walks))
+
+    def _blocks(self, ell: int) -> Iterator[Iterator[Point]]:
+        """The points of class ell's blocks a = 0, 1, ..., each block in rank order."""
+        r, d, period = self.sector.slope.r, self.d, self.period
+        c = r * ell // period + 1
+        for a in count():
+            size, x = r * a + c, period * a + ell
+            ys = range(size - 1, -1, -1) if self.top_down else range(size)
+            # a point's x, x + d*y, is affine in y: over ys it is a range of equal length
+            xs = range(x + d * ys.start, x + d * ys.stop, d * ys.step) if d else repeat(x, size)
+            yield zip(xs, ys)
 
 
 def _require_variant(variant: str) -> str:

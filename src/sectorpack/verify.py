@@ -48,6 +48,7 @@ re-sorted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -166,7 +167,8 @@ class PackingVerdict:
         return f"fail: {self.reason} at {self.witness}"
 
 
-def _examined_region(sector: Sector, prefix: int) -> list[int]:
+@functools.lru_cache(maxsize=16)
+def _examined_region(sector: Sector, prefix: int) -> tuple[int, ...]:
     """Top y of each column of the examined region, from column 0: the fewest
     columns (or, for the quadrant, the smallest square) holding at least
     max(_COVERAGE_MARGIN, 2s) * prefix points, for slope r/s.
@@ -175,21 +177,24 @@ def _examined_region(sector: Sector, prefix: int) -> list[int]:
     column s*sqrt(2n/r), about s * prefix points in, so the flat base margin
     alone would miss them for larger denominators (and s alone leaves no
     headroom).
+
+    Memoised per (sector, prefix), as callers verify many candidates on one
+    region; the tuple keeps the shared result immutable.
     """
     target = max(_COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
     if sector.slope.is_infinite:
         side = math.isqrt(target - 1) + 1  # smallest side with side^2 >= target
-        return [side - 1] * side
+        return (side - 1,) * side
     tops: list[int] = []
     count = 0
     while count < target:
         top = sector.column_height(len(tops))
         tops.append(top)
         count += top + 1
-    return tops
+    return tuple(tops)
 
 
-def _scan_columns(forms: list, tops: list[int]) -> tuple[int | None, set[int]]:
+def _scan_columns(forms: list, tops: tuple[int, ...]) -> tuple[int | None, set[int]]:
     """The first column holding a non-integer, negative or repeated value
     (None if there is none), and the values of the columns before it.
 
@@ -217,7 +222,7 @@ def _scan_columns(forms: list, tops: list[int]) -> tuple[int | None, set[int]]:
     return None, seen
 
 
-def _walk_points(forms: list, tops: list[int]) -> tuple[str, tuple]:
+def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
     """The first failure and its witness, walking the region point by point
     in column order; the region must hold a failure (see _scan_columns)."""
     period = len(forms)
@@ -301,7 +306,7 @@ def _search_init(payload: dict) -> None:
     _WORK.update(payload)
 
 
-def _has_triangle(tops: list[int]) -> bool:
+def _has_triangle(tops: tuple[int, ...]) -> bool:
     """Whether the region with these column tops holds a lattice triangle
     {(a+i, b+j) : i + j <= 2}.
 

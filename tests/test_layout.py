@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorpack import (CapacityError, OutsideSectorError, SectorArray,
-                        cantor, divides, quasi_h, steep)
+                        SectorPackError, cantor, divides, quasi_h, steep)
 
 from family_zoo import all_families, sector_points
 
@@ -82,6 +84,23 @@ class TestIterate:
         assert offsets == sorted(offsets)
         assert len(set(offsets)) == len(offsets)
 
+    # one family of each kind, with period > 1, d < 0, d > 0 and top-down among them
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from([cantor("F"), cantor("G"), steep("F", 2), steep("G", 3),
+                                   divides("F", 2, 5), divides("G", 1, 4), quasi_h(3, 2),
+                                   quasi_h(2, 5)]),
+           fill=st.integers(0, 40),
+           puts=st.lists(st.tuples(st.integers(0, 299), st.integers()), max_size=60))
+    def test_matches_unrank_reference_after_fill_and_puts(self, family, fill, puts):
+        arr = SectorArray(family)
+        arr.dense_prefix_fill(fill, lambda p: p)
+        stored = {n: family.unrank(n) for n in range(fill)}
+        for n, value in puts:  # repeated ranks overwrite
+            arr.put(family.unrank(n), value)
+            stored[n] = value
+        assert list(arr.iterate()) == [(family.unrank(n), stored[n]) for n in sorted(stored)]
+        assert arr.population == len(stored)
+
 
 class TestDensePrefixFill:
     def test_zero_is_noop(self):
@@ -100,7 +119,8 @@ class TestDensePrefixFill:
         arr = SectorArray(quasi_h(3, 2))
         arr.dense_prefix_fill(100, lambda p: 0)
         assert arr.population == 100
-        assert all(arr._cells[k] is not None for k in range(100))
+        assert arr.storage_length == 128
+        assert [arr.family.rank(p) for p, _ in arr.iterate()] == list(range(100))
 
     def test_storage_doubles_to_1024(self):
         arr = SectorArray(steep("F", 1))
@@ -108,7 +128,7 @@ class TestDensePrefixFill:
         assert arr.storage_length == 1024
 
     def test_negative_count_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SectorPackError):
             SectorArray(steep("F", 1)).dense_prefix_fill(-1, lambda p: p)
 
 

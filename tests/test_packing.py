@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -117,6 +118,25 @@ class TestUnrank:
             for n, p in enumerate(enumerate_sector(family.sector, order, 5000)):
                 assert family.unrank(n) == p
                 assert family.rank(p) == n
+
+
+class TestWalk:
+    def test_prefix_matches_unrank_and_enumeration_oracle(self):
+        for family in all_families(10):
+            walked = list(itertools.islice(family.walk(), 2000))
+            assert walked == [family.unrank(n) for n in range(2000)], family.name
+            order = order_for_family(family)
+            assert walked == enumerate_sector(family.sector, order, 2000), family.name
+
+    def test_agrees_with_unrank_deep_into_the_walk(self):
+        rng = random.Random(10)
+        families = (cantor("F"), cantor("G"), steep("G", 3), divides("F", 2, 5),
+                    divides("G", 3, 10), quasi_h(3, 2), quasi_h(7, 10), quasi_h(2, 7))
+        for family in families:
+            sampled = set(rng.sample(range(200_000), 300)) | {199_999}
+            for n, p in enumerate(itertools.islice(family.walk(), 200_000)):
+                if n in sampled:
+                    assert p == family.unrank(n), (family.name, n)
 
 
 def _block_point(family, ell, a, offset):
