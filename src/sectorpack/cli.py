@@ -1,25 +1,41 @@
 """Command-line front end: sector-pack <subcommand> [options].
 
 Exit status: 0 success, 1 domain error (bad slope, point outside sector,
-...), 2 usage error, 3 a verify that found a violation (witness printed).
+prefix over the region limit, ...), 2 usage error, 3 a verify that found a
+violation (witness printed), 141 the reader closed stdout before the end
+(as `| head` does), which cuts the output there without a message.
 Results go to stdout (or --out FILE); search progress goes to stderr.
+
+Output streams.  `layout` and `enumerate` make their rows lazily, from the
+family's rank-order walk and from the order iterator, and main writes them
+in batches, so their memory does not grow with --count (json included).
+`verify` and `search` must hold their examined region, max(4, 2s) * prefix
+points for slope r/s, so a prefix whose region exceeds _REGION_LIMIT points
+is refused before any of it is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .core import Sector, SectorPackError, _is_ascii_number, parse_slope
+from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (OrderKind, enumerate_sector, linear_impossibility_check,
+from .verify import (OrderKind, iter_sector, linear_impossibility_check, region_target,
                      search_quadratic, verify_packing)
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
+_REGION_LIMIT = 1_000_000  # examined points; verify peaks near 100 MiB there
+_WRITE_BATCH = 4096  # output pieces joined into one write
+_EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
 
 
 def _strict_int(token: str) -> int:
@@ -122,34 +138,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args) -> tuple[str, int]:
+def _joined(sep: str, items: Iterable[str]) -> Iterator[str]:
+    """The pieces of sep.join(items), made one item at a time."""
+    items = iter(items)
+    return chain(islice(items, 1), map(sep.__add__, items))
+
+
+def _json_list(key: str, items: Iterable[str]) -> Iterator[str]:
+    """The pieces of json.dumps({key: [...]}), given each element's json.dumps."""
+    return chain((f'{{"{key}": [',), _joined(", ", items), ("]}",))
+
+
+def _check_region(sector: Sector, prefix: int) -> None:
+    """Refuse a prefix whose examined region would not fit the stated memory."""
+    size = region_target(sector, prefix)
+    if size > _REGION_LIMIT:
+        raise SectorPackError(f"prefix {prefix} needs a region of {size} points, "
+                              f"above the limit of {_REGION_LIMIT}")
+
+
+# Each command checks its arguments, then returns its output as pieces of text
+# (one piece for a one-shot result) and the exit status.  The pieces may be made
+# lazily: every check has run by the time main opens the output.
+
+def _cmd_eval(args) -> tuple[Iterable[str], int]:
     family = parse_family(args.family)
     value = family.rank(parse_point(args.point))
     if args.format == "json":
-        return json.dumps({"rank": value}), 0
-    return str(value), 0
+        return [json.dumps({"rank": value})], 0
+    return [str(value)], 0
 
 
-def _cmd_unrank(args) -> tuple[str, int]:
+def _cmd_unrank(args) -> tuple[Iterable[str], int]:
     family = parse_family(args.family)
     x, y = family.unrank(args.rank)
     if args.format == "json":
-        return json.dumps({"point": [x, y]}), 0
-    return f"{x},{y}", 0
+        return [json.dumps({"point": [x, y]})], 0
+    return [f"{x},{y}"], 0
 
 
-def _cmd_enumerate(args) -> tuple[str, int]:
+def _cmd_enumerate(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
-    points = enumerate_sector(sector, _order_for(args.order), args.count)
+    points = iter_sector(sector, _order_for(args.order), args.count)
     if args.format == "json":
-        return json.dumps({"points": [[x, y] for x, y in points]}), 0
+        return _json_list("points", (f"[{x}, {y}]" for x, y in points)), 0
     if args.format == "csv":
-        lines = ["rank,x,y"] + [f"{n},{x},{y}" for n, (x, y) in enumerate(points)]
-        return "\n".join(lines), 0
-    return "\n".join(f"{x},{y}" for x, y in points), 0
+        return chain(("rank,x,y",), (f"\n{n},{x},{y}" for n, (x, y) in enumerate(points))), 0
+    return _joined("\n", (f"{x},{y}" for x, y in points)), 0
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     if (args.family is None) == (args.poly is None):
         raise SectorPackError("verify needs exactly one of --family or --poly")
     if args.family is not None:
@@ -159,18 +197,20 @@ def _cmd_verify(args) -> tuple[str, int]:
         if args.slope is None:
             raise SectorPackError("--poly needs --slope")
         candidate, sector = deserialize(args.poly), Sector(parse_slope(args.slope))
+    _check_region(sector, args.prefix)
     verdict = verify_packing(candidate, sector, args.prefix)
     status = 0 if verdict.ok else 3
     if args.format == "json":
         witness = list(verdict.witness) if verdict.witness is not None else None
-        return json.dumps({"ok": verdict.ok, "reason": verdict.reason, "witness": witness,
-                           "column_bound": verdict.column_bound,
-                           "points_examined": verdict.points_examined}), status
-    return ("PASS " if verdict.ok else "FAIL ") + verdict.describe(), status
+        return [json.dumps({"ok": verdict.ok, "reason": verdict.reason, "witness": witness,
+                            "column_bound": verdict.column_bound,
+                            "points_examined": verdict.points_examined})], status
+    return [("PASS " if verdict.ok else "FAIL ") + verdict.describe()], status
 
 
-def _cmd_search(args) -> tuple[str, int]:
+def _cmd_search(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
+    _check_region(sector, args.prefix)
     step = None
 
     def progress(done, total):
@@ -184,48 +224,44 @@ def _cmd_search(args) -> tuple[str, int]:
     run = search_quadratic if args.degree == 2 else linear_impossibility_check
     report = run(sector, args.bound, args.prefix, workers=args.workers, progress=progress)
     if args.format == "json":
-        return report.to_json(), 0
+        return [report.to_json()], 0
     lines = [f"sector {report.sector.slope}  degree {report.degree}  "
              f"bound {report.coeff_bound}  prefix {report.prefix}",
              f"survivors: {len(report.survivors)}"]
     lines.extend(f"  {f}" for f in report.survivors)
     lines.append(f"exhausted: {str(report.exhausted).lower()}")
-    return "\n".join(lines), 0
+    return ["\n".join(lines)], 0
 
 
-def _cmd_basis(args) -> tuple[str, int]:
+def _cmd_basis(args) -> tuple[Iterable[str], int]:
     basis = Sector(parse_slope(args.slope)).free_basis()
     if args.format == "json":
-        return json.dumps({"basis": [list(w) for w in basis] if basis else None}), 0
+        return [json.dumps({"basis": [list(w) for w in basis] if basis else None})], 0
     if basis is None:
-        return "none", 0
-    return " ".join(f"({x},{y})" for x, y in basis), 0
+        return ["none"], 0
+    return [" ".join(f"({x},{y})" for x, y in basis)], 0
 
 
-def _cmd_transform(args) -> tuple[str, int]:
+def _cmd_transform(args) -> tuple[Iterable[str], int]:
     m = parse_map(args.family)
     if args.point is not None:
         x, y = m.apply(parse_point(args.point))
         if args.format == "json":
-            return json.dumps({"image": [x, y]}), 0
-        return f"{x},{y}", 0
+            return [json.dumps({"image": [x, y]})], 0
+        return [f"{x},{y}"], 0
     if args.format == "json":
-        return json.dumps({"matrix": list(m.rows())}), 0
-    return " ".join(str(v) for v in m.rows()), 0
+        return [json.dumps({"matrix": list(m.rows())})], 0
+    return [" ".join(str(v) for v in m.rows())], 0
 
 
-def _cmd_layout(args) -> tuple[str, int]:
-    from .layout import SectorArray
-
+def _cmd_layout(args) -> tuple[Iterable[str], int]:
     family = parse_family(args.family)
-    arr = SectorArray(family)
-    arr.dense_prefix_fill(args.count, lambda p: p)
-    # a dense fill occupies exactly offsets 0..count-1, in iteration order
-    rows = [(offset, x, y) for offset, ((x, y), _) in enumerate(arr.iterate())]
+    check_fill_count(args.count)
+    # rank is a bijection onto N0, so cell k of a dense layout holds the walk's k-th point
+    rows = zip(range(args.count), family.walk())
     if args.format == "json":
-        return json.dumps({"cells": [list(row) for row in rows]}), 0
-    lines = ["offset,x,y"] + [f"{o},{x},{y}" for o, x, y in rows]
-    return "\n".join(lines), 0
+        return _json_list("cells", (f"[{o}, {x}, {y}]" for o, (x, y) in rows)), 0
+    return chain(("offset,x,y",), (f"\n{o},{x},{y}" for o, (x, y) in rows)), 0
 
 
 _COMMANDS = {
@@ -240,18 +276,32 @@ _COMMANDS = {
 }
 
 
+def _write(pieces: Iterable[str], handle) -> None:
+    """Write the pieces and a final newline, joined in bounded batches."""
+    pieces = chain(pieces, ("\n",))
+    while batch := list(islice(pieces, _WRITE_BATCH)):
+        handle.write("".join(batch))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text, status = _COMMANDS[args.command](args)
+        pieces, status = _COMMANDS[args.command](args)
     except SectorPackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+            _write(pieces, handle)
+        return status
+    try:
+        _write(pieces, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (say, `| head`): stop quietly, and point stdout
+        # at devnull so that the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_PIPE_CLOSED
     return status
 
 

@@ -23,6 +23,14 @@ class CapacityError(SectorPackError):
     """The point's offset exceeds the machine-word addressing range."""
 
 
+def check_fill_count(n: int) -> None:
+    """Reject a dense fill of n cells: below zero, or past the addressing range."""
+    if n < 0:
+        raise SectorPackError(f"fill count must be nonnegative, got {n}")
+    if n - 1 > sys.maxsize:
+        raise CapacityError(f"fill count {n} exceeds the addressable range")
+
+
 class SectorArray:
     """Growable dense container over a packing family's sector.
 
@@ -97,10 +105,7 @@ class SectorArray:
     def dense_prefix_fill(self, n: int, generator: Callable[[Point], Any]) -> None:
         """Fill the cells of ranks 0..n-1 with generator(p), walking the points
         in rank order; the packing property makes this gap-free."""
-        if n < 0:
-            raise SectorPackError(f"fill count must be nonnegative, got {n}")
-        if n - 1 > sys.maxsize:
-            raise CapacityError(f"fill count {n} exceeds the addressable range")
+        check_fill_count(n)
         self._grow_to(n - 1)  # a point's rank is its offset, so none is ranked again
         cells = self._cells
         for rank, p in zip(range(n), self.family.walk()):

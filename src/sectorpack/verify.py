@@ -57,6 +57,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -139,12 +140,20 @@ def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
     return _iter_residues(sector, slope.s)
 
 
-def enumerate_sector(sector: Sector, order: OrderKind, count: int) -> list[Point]:
-    """First `count` points of the order; a point's rank is its position here."""
+def iter_sector(sector: Sector, order: OrderKind, count: int) -> Iterator[Point]:
+    """First `count` points of the order, lazily; a point's rank is its position.
+
+    The arguments are checked on the call, before the first point is made.
+    """
     if count < 1:
         raise SectorPackError(f"count must be positive, got {count}")
-    it = _order_iterator(sector, order)
-    return [next(it) for _ in range(count)]
+    # zip with a range, not islice, so that a count past sys.maxsize still streams
+    return map(itemgetter(1), zip(range(count), _order_iterator(sector, order)))
+
+
+def enumerate_sector(sector: Sector, order: OrderKind, count: int) -> list[Point]:
+    """First `count` points of the order; a point's rank is its position here."""
+    return list(iter_sector(sector, order, count))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +176,12 @@ class PackingVerdict:
         return f"fail: {self.reason} at {self.witness}"
 
 
+def region_target(sector: Sector, prefix: int) -> int:
+    """The number of points the examined region is sized to hold at least:
+    max(_COVERAGE_MARGIN, 2s) * prefix for slope r/s (see _examined_region)."""
+    return max(_COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
+
+
 @functools.lru_cache(maxsize=16)
 def _examined_region(sector: Sector, prefix: int) -> tuple[int, ...]:
     """Top y of each column of the examined region, from column 0: the fewest
@@ -181,7 +196,7 @@ def _examined_region(sector: Sector, prefix: int) -> tuple[int, ...]:
     Memoised per (sector, prefix), as callers verify many candidates on one
     region; the tuple keeps the shared result immutable.
     """
-    target = max(_COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
+    target = region_target(sector, prefix)
     if sector.slope.is_infinite:
         side = math.isqrt(target - 1) + 1  # smallest side with side^2 >= target
         return (side - 1,) * side

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sectorpack
 from sectorpack.cli import main, parse_map, parse_point
-from sectorpack import SectorPackError, lambda_map
+from sectorpack import (OrderKind, Sector, SectorArray, SectorPackError, enumerate_sector,
+                        lambda_map, parse_slope)
+
+from family_zoo import all_families
 
 
 def run(capsys, *argv):
@@ -122,6 +129,25 @@ class TestEnumerate:
         needs = {"inf": "a finite slope", "2": "the infinite sector",
                  "3/5": "a slope r/s with r | s-1, got 3/5"}[slope]
         assert err == f"error: {order} requires {needs}\n"
+
+    @pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
+    def test_stream_equals_the_oracle(self, capsys, order):
+        for slope in ("inf", "1", "2", "3/2", "2/3"):
+            # 5000 rows cross the boundary of a write batch
+            argv = ["enumerate", "--slope", slope, "--order", order.value, "--count", "5000"]
+            try:
+                points = enumerate_sector(Sector(parse_slope(slope)), order, 5000)
+            except SectorPackError as exc:
+                assert run(capsys, *argv) == (1, "", f"error: {exc}\n")
+                continue
+            want = {
+                "text": "\n".join(f"{x},{y}" for x, y in points) + "\n",
+                "csv": "\n".join(["rank,x,y"] + [f"{n},{x},{y}" for n, (x, y)
+                                                  in enumerate(points)]) + "\n",
+                "json": json.dumps({"points": [[x, y] for x, y in points]}) + "\n",
+            }
+            for fmt, text in want.items():
+                assert run(capsys, *argv, "--format", fmt) == (0, text, ""), (slope, fmt)
 
 
 class TestVerify:
@@ -246,6 +272,24 @@ class TestLayout:
                         "--format", "json")
         assert json.loads(out) == {"cells": [[0, 0, 0], [1, 1, 0], [2, 0, 1]]}
 
+    @pytest.mark.parametrize("family", all_families(6), ids=lambda f: f.name)
+    def test_stream_equals_the_filled_array(self, capsys, family):
+        def dumped(rows, fmt):  # the rows as json.dumps and a joined csv give them
+            if fmt == "json":
+                return json.dumps({"cells": [list(row) for row in rows]}) + "\n"
+            return "\n".join(["offset,x,y"] + [f"{o},{x},{y}" for o, x, y in rows]) + "\n"
+
+        for count in (0, 1, 7, 500):
+            array = SectorArray(family)
+            array.dense_prefix_fill(count, lambda p: p)
+            filled = [(o, x, y) for o, ((x, y), _) in enumerate(array.iterate())]
+            unranked = [(n, *family.unrank(n)) for n in range(count)]
+            assert filled == unranked
+            for fmt in ("csv", "json", "text"):
+                status, out, err = run(capsys, "layout", "--family", family.name,
+                                       "--count", str(count), "--format", fmt)
+                assert (status, out, err) == (0, dumped(filled, fmt), ""), (count, fmt)
+
 
 class TestPlumbing:
     def test_usage_error_exits_2(self, capsys):
@@ -271,7 +315,71 @@ class TestPlumbing:
         assert out == ""
         assert target.read_text() == "7\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["layout", "--family", "cantor-f", "--count", "-1"],
+         "fill count must be nonnegative, got -1"),
+        (["layout", "--family", "cantor-f", "--count", "9223372036854775809"],
+         "fill count 9223372036854775809 exceeds the addressable range"),
+        (["enumerate", "--slope", "1", "--order", "column-bottom-up", "--count", "0"],
+         "count must be positive, got 0"),
+        (["enumerate", "--slope", "3/5", "--order", "block-top-down", "--count", "4"],
+         "block-top-down requires a slope r/s with r | s-1, got 3/5"),
+        (["verify", "--family", "quasi:3/2", "--prefix", "250001"],
+         "prefix 250001 needs a region of 1000004 points, above the limit of 1000000"),
+        (["search", "--slope", "1/3", "--prefix", "166667"],
+         "prefix 166667 needs a region of 1000002 points, above the limit of 1000000"),
+    ], ids=["layout-negative", "layout-past-maxsize", "enumerate-zero", "enumerate-order",
+            "verify-region", "search-region"])
+    def test_error_opens_no_out_file(self, capsys, tmp_path, argv, message):
+        target = tmp_path / "result.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (1, "", f"error: {message}\n")
+        assert not target.exists()
+
     def test_bad_slope_is_domain_error(self, capsys):
         status, _, err = run(capsys, "basis", "--slope", "0")
         assert status == 1
         assert "error:" in err
+
+
+class TestBoundedMemory:
+    """The CLI under a 512 MiB address-space limit that the child process sets on itself."""
+
+    LIMIT = 512 * 2 ** 20
+
+    def spawn(self, *argv):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        src = os.path.dirname(os.path.dirname(sectorpack.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.Popen([sys.executable, "-m", "sectorpack.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                preexec_fn=cap_address_space)
+
+    @pytest.mark.parametrize("argv,head", [
+        (["layout", "--family", "cantor-f"], ["offset,x,y", "0,0,0", "1,1,0", "2,0,1"]),
+        (["enumerate", "--slope", "1", "--order", "column-bottom-up"],
+         ["0,0", "1,0", "1,1", "2,0"]),
+    ], ids=["layout", "enumerate"])
+    def test_streams_a_huge_count_and_stops_when_the_reader_does(self, argv, head):
+        child = self.spawn(*argv, "--count", "10000000000")
+        try:
+            lines = [child.stdout.readline() for _ in head]
+            child.stdout.close()
+            status = child.wait(timeout=60)
+            err = child.stderr.read()
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert lines == [line + "\n" for line in head]
+        assert (status, err) == (141, "")
+
+    def test_prefix_over_the_region_limit_is_refused(self):
+        child = self.spawn("verify", "--family", "cantor-f", "--prefix", "10000000000")
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out) == (1, "")
+        assert err == ("error: prefix 10000000000 needs a region of 40000000000 points, "
+                       "above the limit of 1000000\n")
