@@ -17,6 +17,7 @@ is refused before any of it is built.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -78,7 +79,9 @@ def _order_for(name: str) -> OrderKind:
     return order
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then shared."""
     parser = argparse.ArgumentParser(
         prog="sector-pack",
         description="Packing polynomials on integer sectors: evaluate, invert, "

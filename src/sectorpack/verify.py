@@ -16,9 +16,9 @@ Only a failure walks the points, and only up to the failing column, to name
 the first witness in column order.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
-through a funnel of exact int64 screens, and certify the survivors with
-`verify_packing` itself.  The linear sweep is the same box with the x^2, xy
-and y^2 columns pinned to 0.
+through a funnel of exact int32/int64 screens, with no floating point, and
+certify the survivors with `verify_packing` itself.  The linear sweep is the
+same box with the x^2, xy and y^2 columns pinned to 0.
 
 1. Only integer-valued candidates are built: the integer combinations of
    Polya's binomial basis C(x,2), xy, C(y,2), x, y, 1, with f(0,0) >= 0 as
@@ -34,16 +34,30 @@ and y^2 columns pinned to 0.
    everywhere iff k00 and W are, nonnegative iff k00 >= -min W, and
    distinct iff W is; the box holds every even k00 from 0 to 2*bound.  So
    a shape passes a screen iff some k00 in the box does: W is even,
-   distinct and at least -2*bound.  The full screen also needs
+   distinct and at least -2*bound.  On the sublattice W is even at every
+   lattice point (k20*(x^2 + x), k11*xy and k02*(y^2 + y) are even there),
+   so only the full-box fallback tests parity.  The full screen also needs
    {0..prefix-1} to occur, so 0 occurs and k00 = -min W: each surviving
    shape is one candidate.  The screens run on the first 48 region points,
    then on the first 512, then on the whole region, where the coverage
    count runs before the sort that tests distinctness.
+3. Values are sums of precomputed terms, not products.  Each search builds
+   one table of c*m(p) for the swept monomials m = y^2, x, y, every
+   numerator c from -2*bound to 2*bound and every region point p, beside
+   the rows x^2 and xy.  A chunk fixes k20 and k11, whose terms make one
+   base row.  The 48-point screen adds table rows over each coset's grid of
+   (k02, k10, k01) by broadcasting; the later screens gather the rows of
+   the shapes that are left, in batches of about _SLICE_BYTES of values.
+   With M the largest monomial on the region, |2f| <= 6*(2*bound)*M, which
+   also bounds W and -min W, and the coverage count compares W with
+   2*prefix - k00: the table is int32 when 6*(2*bound)*M and 2*prefix are
+   both below 2^31, which keeps every sum exact, and int64 otherwise.
 
 The box is cut into chunks of at most _CHUNK_ROWS candidates (shapes times
 their k00 range) unless a chunk is a single shape; chunks are never keyed on
-k00.  Results are deterministic regardless of worker count: survivors are
-re-sorted.
+k00.  So a search holds its region's table, 3*(4*bound + 1) + 2 values per
+point, and a chunk's grid and batches.  Results are deterministic regardless
+of worker count: survivors are re-sorted.
 """
 
 from __future__ import annotations
@@ -309,9 +323,10 @@ class SearchReport:
 
 _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
 _MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
-_FULL_SCREEN_SLICE = 1024  # rows per batch of the later tiers, to cap the value matrix size
+_SLICE_BYTES = 1 << 21  # bytes of values per batch of the later tiers, to cap their size
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
+_INT32_LIMIT = 2 ** 31  # values below this in magnitude fit the int32 screen
 
 # worker payload, installed once per process by _search_init
 _WORK: dict = {}
@@ -373,56 +388,97 @@ def _chunk_plan(cosets: list[tuple[range, ...]]) -> dict[tuple[range, ...], int]
     return plan
 
 
-def _candidate_rows(fixed: tuple[int, ...]) -> np.ndarray:
-    """Shape rows (k20, k11, k02, k10, k01) of one chunk: the `fixed` leading
-    columns, then every completion of the other shape columns in the swept
-    cosets (see _cosets).  The screen solves k00."""
-    blocks = []
-    for box in _WORK["cosets"]:
-        if all(v in r for v, r in zip(fixed, box)):
-            axes = [np.array([v], dtype=np.int64) for v in fixed]
-            axes += [np.arange(r.start, r.stop, r.step, dtype=np.int64)
-                     for r in box[len(fixed):_SHAPE_COLUMNS]]
-            grids = np.meshgrid(*axes, indexing="ij")
-            blocks.append(np.column_stack([g.reshape(-1) for g in grids]))
-    return np.concatenate(blocks)
+def _chunk_grids(cosets: list[tuple[range, ...]],
+                 fixed: tuple[int, ...]) -> list[tuple[range, ...]]:
+    """The shape rows (k20, k11, k02, k10, k01) of one chunk as grids, one
+    per swept coset (see _cosets) that holds the `fixed` leading columns: a
+    range per column, one value for a fixed column and the coset's range for
+    the others.  The screen solves k00."""
+    return [tuple(range(v, v + 1) for v in fixed) + box[len(fixed):_SHAPE_COLUMNS]
+            for box in cosets if all(v in r for v, r in zip(fixed, box))]
 
 
-def _screen(rows: np.ndarray, basis: np.ndarray, prefix: int | None) -> np.ndarray:
-    """Exact int64 filter of shape rows: keeps a shape iff some k00 in the box
-    passes (point 2 of the module docstring), and at the full tier returns
-    each kept shape with its one k00 appended.  Coverage of {0..prefix-1} by
-    distinct nonnegative integers is a count, which runs first as it is
-    cheaper than the sort it spares."""
-    values = rows @ basis.T  # 2*f - k00 at each point, exactly; 0 at the origin
+def _region_terms(tops: tuple[int, ...], bound: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The region's x^2 and xy at each point, shape (2, points), and the term
+    table c*m(p) for the swept monomials m = y^2, x, y, every numerator c
+    from -bound to bound and every point p, shape (3, 2*bound + 1, points).
+    Points run in column order, as verify_packing walks them."""
+    heights = np.array(tops, dtype=np.int64) + 1
+    xs = np.repeat(np.arange(len(tops), dtype=dtype), heights)
+    ys = (np.arange(len(xs)) - np.repeat(np.cumsum(heights) - heights, heights)).astype(dtype)
+    numerators = np.arange(-bound, bound + 1, dtype=dtype)
+    table = numerators[:, None] * np.stack([ys * ys, xs, ys])[:, None, :]
+    return np.stack([xs * xs, xs * ys]), table
+
+
+def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
+    """Exact filter of shapes by their values W = 2*f - k00 at the first
+    points (one row per shape, 0 at the origin): the indices of the rows for
+    which some k00 in the box passes (point 2 of the module docstring).
+    `even` says the values are known even, as on the sublattice.  Coverage of
+    {0..prefix-1} by distinct nonnegative integers is a count, which runs
+    first as it is cheaper than the sort it spares."""
     lo = -values.min(axis=1)  # the least k00 that makes 2*f nonnegative
-    keep = ((np.bitwise_or.reduce(values, axis=1) & 1) == 0) & (lo <= _WORK["bound"])
+    keep = lo <= _WORK["bound"]
+    if not even:
+        keep &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
     if prefix is not None:
         keep &= (values < (2 * prefix - lo)[:, None]).sum(axis=1) == prefix
-    rows, values, lo = rows[keep], values[keep], lo[keep]
-    if rows.size:
-        distinct = (np.diff(np.sort(values, axis=1), axis=1) != 0).all(axis=1)
-        rows, lo = rows[distinct], lo[distinct]
-    return rows if prefix is None else np.column_stack([rows, lo])
+    kept = np.flatnonzero(keep)
+    if kept.size:
+        ordered = values[kept]
+        ordered.sort(axis=1)
+        kept = kept[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+    return kept
+
+
+def _tier_values(picks: np.ndarray, base: np.ndarray, points: int) -> np.ndarray:
+    """W at the first `points` region points of the shapes whose swept
+    columns pick these term-table rows, one row of `picks` per shape."""
+    table = _WORK["table"]
+    values = table[0, picks[:, 0], :points] + table[1, picks[:, 1], :points]
+    values += table[2, picks[:, 2], :points]
+    values += base[:points]
+    return values
+
+
+def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
+    """Batches of rows whose values at `points` points fill about _SLICE_BYTES."""
+    step = max(1, _SLICE_BYTES // (points * itemsize))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Screen one chunk of the coefficient lattice; returns surviving numerator tuples."""
-    rows = _screen(_candidate_rows(fixed), _WORK["screen_basis"], None)
+    table, quad, bound, even = _WORK["table"], _WORK["quad"], _WORK["bound"], _WORK["even"]
+    k20, k11 = fixed[:2]
+    base = k20 * quad[0] + k11 * quad[1]  # the chunk's x^2 and xy terms at each point
+    # first tier: the values of each coset grid are sums of table rows
+    first = base[:_SCREEN_POINTS]
+    picks = []
+    for grid in _chunk_grids(_WORK["cosets"], fixed):
+        axes = [range(r.start + bound, r.stop + bound, r.step) for r in grid[2:]]  # table rows
+        terms = [table[j, a.start:a.stop:a.step, :_SCREEN_POINTS] for j, a in enumerate(axes)]
+        values = ((terms[0] + first)[:, None, None] + terms[1][:, None]) + terms[2]
+        kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
+        index = np.unravel_index(kept, values.shape[:3])
+        picks.append(np.column_stack([a.start + a.step * i for a, i in zip(axes, index)]))
+    picks = np.concatenate(picks)
+    if not picks.size:
+        return []
+    # later tiers: gather the survivors' table rows, in batches of bounded size
+    picks = np.concatenate([picks[s][_screen(_tier_values(picks[s], base, _MIDDLE_POINTS),
+                                             even, None)]
+                            for s in _slices(len(picks), _MIDDLE_POINTS, base.itemsize)])
+    points = table.shape[2]
     out: list[tuple[int, ...]] = []
-    for start in range(0, rows.shape[0], _FULL_SCREEN_SLICE):
-        batch = _screen(rows[start:start + _FULL_SCREEN_SLICE], _WORK["middle_basis"], None)
-        if batch.size:
-            batch = _screen(batch, _WORK["full_basis"], _WORK["prefix"])
-        out.extend(map(tuple, batch.tolist()))
+    for s in _slices(len(picks), points, base.itemsize):
+        values = _tier_values(picks[s], base, points)
+        kept = _screen(values, even, _WORK["prefix"])
+        lo = -values[kept].min(axis=1)
+        out.extend((k20, k11, *shape, k00) for shape, k00
+                   in zip((picks[s][kept] - bound).tolist(), lo.tolist()))
     return out
-
-
-def _monomial_basis(points: list[Point]) -> np.ndarray:
-    """x^2, xy, y^2, x, y at each point: the shape columns, without the constant."""
-    xs = np.array([p[0] for p in points], dtype=np.int64)
-    ys = np.array([p[1] for p in points], dtype=np.int64)
-    return np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys])
 
 
 def _poly_from_numerators(nums: tuple[int, ...]) -> QuadPoly:
@@ -444,25 +500,25 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     bound = 2 * coeff_bound  # numerators of the half-integer lattice
     # same region as verify_packing, so the screen is exactly its restriction
     tops = _examined_region(sector, prefix)
-    points = [(x, y) for x, top in enumerate(tops) for y in range(top + 1)]
-    full_basis = _monomial_basis(points)
-    # int64 safety: the largest |2*f| over the region must stay well inside the range
-    worst = 6 * bound * int(np.abs(full_basis).max())
+    # |2*f| <= 6 * bound * the largest monomial, which the region's last column holds
+    reach = max(len(tops) - 1, tops[-1])
+    worst = 6 * bound * reach * reach
     if worst >= 2 ** 62:
         raise SectorPackError("search region too large for the integer screen")
+    dtype = np.int32 if max(worst, 2 * prefix) < _INT32_LIMIT else np.int64
 
     bounds = (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
     # a candidate off the integer-valued sublattice is odd somewhere on any
     # lattice triangle, so with one in the region the screen would reject it
-    cosets = _cosets(bounds, _has_triangle(tops))
+    sublattice = _has_triangle(tops)
+    cosets = _cosets(bounds, sublattice)
     payload = {
         "cosets": cosets,
         "bound": bound,  # the largest k00 of every coset
         "prefix": prefix,
-        "screen_basis": full_basis[:_SCREEN_POINTS],
-        "middle_basis": full_basis[:_MIDDLE_POINTS],
-        "full_basis": full_basis,
+        "even": sublattice,  # every value of a sublattice shape is even
     }
+    payload["quad"], payload["table"] = _region_terms(tops, bound, dtype)
     plan = _chunk_plan(cosets)
     total = sum(math.prod(len(r) for r in head) for head in plan)
     chunks = itertools.chain.from_iterable(itertools.product(*head) for head in plan)
@@ -479,10 +535,14 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
                     progress(done, total)
     else:
         _search_init(payload)
-        for done, fixed in enumerate(chunks, 1):
-            found.extend(_search_chunk(fixed))
-            if progress:
-                progress(done, total)
+        try:
+            for done, fixed in enumerate(chunks, 1):
+                found.extend(_search_chunk(fixed))
+                if progress:
+                    progress(done, total)
+        finally:
+            _WORK.clear()
+    del payload  # the term table is not needed by the certification below
 
     # Final certification runs through verify_packing itself, independently of
     # the vectorized screen.

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sectorpack
-from sectorpack.cli import main, parse_map, parse_point
+from sectorpack.cli import build_parser, main, parse_map, parse_point
 from sectorpack import (OrderKind, Sector, SectorArray, SectorPackError, enumerate_sector,
                         lambda_map, parse_slope)
 
@@ -20,6 +20,14 @@ def run(capsys, *argv):
 
 
 class TestParsers:
+    def test_main_reuses_one_parser(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        # the shared parser hands every call a fresh namespace with fresh defaults
+        first = parser.parse_args(["verify", "--family", "cantor-f", "--prefix", "7"])
+        second = parser.parse_args(["verify", "--family", "cantor-f"])
+        assert (first.prefix, second.prefix) == (7, 1000)
+
     def test_parse_point(self):
         assert parse_point("2,1") == (2, 1)
         assert parse_point("123456789012345678901,0") == (123456789012345678901, 0)
@@ -376,6 +384,15 @@ class TestBoundedMemory:
             child.stderr.close()
         assert lines == [line + "\n" for line in head]
         assert (status, err) == (141, "")
+
+    def test_search_at_the_region_limit(self):
+        # 999,996 examined points: the term table and the screen batches fit
+        child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "2",
+                           "--workers", "1")
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert err.splitlines()[-1] == "search: 45/45 chunks"
+        assert json.loads(out)["survivors"] == [{"x2": "1/2", "xy": "-2", "y2": "2", "x": "1/2"}]
 
     def test_prefix_over_the_region_limit_is_refused(self):
         child = self.spawn("verify", "--family", "cantor-f", "--prefix", "10000000000")

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -278,6 +279,46 @@ class TestSearchOracle:
                 (slope, prefix)
 
 
+# the TestSearchOracle boxes, and the two sweeps the benchmark times
+_SCREEN_CASES = [(slope, 1, prefix) for slope in ("1", "1/2", "2", "5", "3/2", "1/3")
+                 for prefix in (1, 2, 5, 20)] + [("1/3", 3, 1000), ("1", 2, 1000)]
+
+
+def _screen_reports(monkeypatch):
+    """Every report of the cases, and the dtypes the screens saw."""
+    dtypes = set()
+    screen = verify._screen
+
+    def spy(values, even, prefix):
+        dtypes.add(values.dtype)
+        return screen(values, even, prefix)
+
+    monkeypatch.setattr(verify, "_screen", spy)
+    reports = [sweep(Sector(parse_slope(slope)), bound, prefix, workers=1)
+               for slope, bound, prefix in _SCREEN_CASES
+               for sweep in (search_quadratic, linear_impossibility_check)]
+    return reports, dtypes
+
+
+class TestScreenVariants:
+    """The int64 screen and one-row batches give the reports of the default screen."""
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        with pytest.MonkeyPatch.context() as patch:
+            reports, dtypes = _screen_reports(patch)
+        assert dtypes == {np.dtype(np.int32)}  # every case fits the int32 bound
+        return reports
+
+    @pytest.mark.parametrize("name, value, dtype", [("_INT32_LIMIT", 0, np.int64),
+                                                    ("_SLICE_BYTES", 1, np.int32)])
+    def test_same_reports(self, monkeypatch, default, name, value, dtype):
+        monkeypatch.setattr(verify, name, value)
+        reports, dtypes = _screen_reports(monkeypatch)
+        assert dtypes == {np.dtype(dtype)}
+        assert reports == default
+
+
 def _bounds(degree, bound):
     """Even numerator bounds per column: a linear sweep pins k20, k11, k02 to 0."""
     return (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
@@ -303,12 +344,12 @@ class TestChunkPlan:
                 patch.setattr(verify, "_CHUNK_ROWS", cap)
                 plan = verify._chunk_plan(cosets)
             assert max(len(key) for key in plan) > 2, degree
-            verify._search_init({"cosets": cosets})
             rows = []
             for head, size in plan.items():
                 for key in itertools.product(*head):
-                    shapes = verify._candidate_rows(key).tolist()
-                    assert all(shape[:len(key)] == list(key) for shape in shapes)
+                    shapes = [shape for grid in verify._chunk_grids(cosets, key)
+                              for shape in itertools.product(*grid)]
+                    assert all(shape[:len(key)] == key for shape in shapes)
                     # a shape row stands for its coset's whole k00 range
                     chunk = []
                     for shape in shapes:
