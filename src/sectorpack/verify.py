@@ -41,23 +41,22 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    shape is one candidate.  The screens run on the first 48 region points,
    then on the first 512, then on the whole region, where the coverage
    count runs before the sort that tests distinctness.
-3. Values are sums of precomputed terms, not products.  Each search builds
-   one table of c*m(p) for the swept monomials m = y^2, x, y, every
-   numerator c from -2*bound to 2*bound and every region point p, beside
-   the rows x^2 and xy.  A chunk fixes k20 and k11, whose terms make one
-   base row.  The 48-point screen adds table rows over each coset's grid of
-   (k02, k10, k01) by broadcasting; the later screens gather the rows of
+3. Values are built from the monomial rows x^2, xy, y^2, x and y of the
+   region, computed once per search.  A chunk fixes k20 and k11, whose
+   terms make one base row.  The 48-point screen broadcasts over each
+   coset's grid of (k02, k10, k01) the products of each column's values
+   with its monomial row; the later screens multiply and add the rows of
    the shapes that are left, in batches of about _SLICE_BYTES of values.
    With M the largest monomial on the region, |2f| <= 6*(2*bound)*M, which
    also bounds W and -min W, and the coverage count compares W with
-   2*prefix - k00: the table is int32 when 6*(2*bound)*M and 2*prefix are
-   both below 2^31, which keeps every sum exact, and int64 otherwise.
+   2*prefix - k00: the rows are int32 when 6*(2*bound)*M and 2*prefix are
+   both below 2^31, which keeps all arithmetic exact, and int64 otherwise.
 
 The box is cut into chunks of at most _CHUNK_ROWS candidates (shapes times
 their k00 range) unless a chunk is a single shape; chunks are never keyed on
-k00.  So a search holds its region's table, 3*(4*bound + 1) + 2 values per
-point, and a chunk's grid and batches.  Results are deterministic regardless
-of worker count: survivors are re-sorted.
+k00.  So a search holds the region's monomial rows, 5 values per point
+whatever the bound, and a chunk's grid and batches.  Results are
+deterministic regardless of worker count: survivors are re-sorted.
 """
 
 from __future__ import annotations
@@ -398,17 +397,13 @@ def _chunk_grids(cosets: list[tuple[range, ...]],
             for box in cosets if all(v in r for v, r in zip(fixed, box))]
 
 
-def _region_terms(tops: tuple[int, ...], bound: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The region's x^2 and xy at each point, shape (2, points), and the term
-    table c*m(p) for the swept monomials m = y^2, x, y, every numerator c
-    from -bound to bound and every point p, shape (3, 2*bound + 1, points).
-    Points run in column order, as verify_packing walks them."""
+def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
+    """The monomials x^2, xy, y^2, x and y at each point of the region, shape
+    (5, points), in column order, as verify_packing walks the points."""
     heights = np.array(tops, dtype=np.int64) + 1
     xs = np.repeat(np.arange(len(tops), dtype=dtype), heights)
     ys = (np.arange(len(xs)) - np.repeat(np.cumsum(heights) - heights, heights)).astype(dtype)
-    numerators = np.arange(-bound, bound + 1, dtype=dtype)
-    table = numerators[:, None] * np.stack([ys * ys, xs, ys])[:, None, :]
-    return np.stack([xs * xs, xs * ys]), table
+    return np.stack([xs * xs, xs * ys, ys * ys, xs, ys])
 
 
 def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
@@ -434,10 +429,9 @@ def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
 
 def _tier_values(picks: np.ndarray, base: np.ndarray, points: int) -> np.ndarray:
     """W at the first `points` region points of the shapes whose swept
-    columns pick these term-table rows, one row of `picks` per shape."""
-    table = _WORK["table"]
-    values = table[0, picks[:, 0], :points] + table[1, picks[:, 1], :points]
-    values += table[2, picks[:, 2], :points]
+    columns (k02, k10, k01) are `picks`, one row per shape."""
+    # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
+    values = np.einsum("ij,jk->ik", picks, _WORK["rows"][2:, :points])
     values += base[:points]
     return values
 
@@ -450,34 +444,34 @@ def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
 
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Screen one chunk of the coefficient lattice; returns surviving numerator tuples."""
-    table, quad, bound, even = _WORK["table"], _WORK["quad"], _WORK["bound"], _WORK["even"]
+    rows, even = _WORK["rows"], _WORK["even"]
     k20, k11 = fixed[:2]
-    base = k20 * quad[0] + k11 * quad[1]  # the chunk's x^2 and xy terms at each point
-    # first tier: the values of each coset grid are sums of table rows
+    base = k20 * rows[0] + k11 * rows[1]  # the chunk's x^2 and xy terms at each point
+    # first tier: the values of each coset grid are sums of per-axis terms
     first = base[:_SCREEN_POINTS]
     picks = []
     for grid in _chunk_grids(_WORK["cosets"], fixed):
-        axes = [range(r.start + bound, r.stop + bound, r.step) for r in grid[2:]]  # table rows
-        terms = [table[j, a.start:a.stop:a.step, :_SCREEN_POINTS] for j, a in enumerate(axes)]
+        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[2:]]
+        terms = [np.multiply.outer(a, row[:_SCREEN_POINTS]) for a, row in zip(axes, rows[2:])]
         values = ((terms[0] + first)[:, None, None] + terms[1][:, None]) + terms[2]
         kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
         index = np.unravel_index(kept, values.shape[:3])
-        picks.append(np.column_stack([a.start + a.step * i for a, i in zip(axes, index)]))
+        picks.append(np.column_stack([a[i] for a, i in zip(axes, index)]))
     picks = np.concatenate(picks)
     if not picks.size:
         return []
-    # later tiers: gather the survivors' table rows, in batches of bounded size
+    # later tiers: the survivors' values by multiply-add, in batches of bounded size
     picks = np.concatenate([picks[s][_screen(_tier_values(picks[s], base, _MIDDLE_POINTS),
                                              even, None)]
                             for s in _slices(len(picks), _MIDDLE_POINTS, base.itemsize)])
-    points = table.shape[2]
+    points = rows.shape[1]
     out: list[tuple[int, ...]] = []
     for s in _slices(len(picks), points, base.itemsize):
         values = _tier_values(picks[s], base, points)
         kept = _screen(values, even, _WORK["prefix"])
         lo = -values[kept].min(axis=1)
-        out.extend((k20, k11, *shape, k00) for shape, k00
-                   in zip((picks[s][kept] - bound).tolist(), lo.tolist()))
+        out.extend((k20, k11, *shape, k00)
+                   for shape, k00 in zip(picks[s][kept].tolist(), lo.tolist()))
     return out
 
 
@@ -517,16 +511,15 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
         "bound": bound,  # the largest k00 of every coset
         "prefix": prefix,
         "even": sublattice,  # every value of a sublattice shape is even
+        "rows": _region_rows(tops, dtype),
     }
-    payload["quad"], payload["table"] = _region_terms(tops, bound, dtype)
     plan = _chunk_plan(cosets)
     total = sum(math.prod(len(r) for r in head) for head in plan)
     chunks = itertools.chain.from_iterable(itertools.product(*head) for head in plan)
 
-    if workers is None:
-        workers = os.cpu_count() or 1
+    workers = min(workers or os.cpu_count() or 1, total)  # no idle worker processes
     found: list[tuple[int, ...]] = []
-    if workers > 1 and total > 1:
+    if workers > 1:
         with multiprocessing.Pool(workers, initializer=_search_init,
                                   initargs=(payload,)) as pool:
             for done, part in enumerate(pool.imap(_search_chunk, chunks), 1):
@@ -542,7 +535,7 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
                     progress(done, total)
         finally:
             _WORK.clear()
-    del payload  # the term table is not needed by the certification below
+    del payload  # the region's monomial rows are not needed by the certification below
 
     # Final certification runs through verify_packing itself, independently of
     # the vectorized screen.

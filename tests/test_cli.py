@@ -386,13 +386,23 @@ class TestBoundedMemory:
         assert (status, err) == (141, "")
 
     def test_search_at_the_region_limit(self):
-        # 999,996 examined points: the term table and the screen batches fit
+        # 999,996 examined points: the monomial rows and the screen batches fit
         child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "2",
                            "--workers", "1")
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
         assert err.splitlines()[-1] == "search: 45/45 chunks"
         assert json.loads(out)["survivors"] == [{"x2": "1/2", "xy": "-2", "y2": "2", "x": "1/2"}]
+
+    def test_linear_search_at_a_high_bound(self):
+        # the screens hold five monomial rows of the region whatever the bound
+        child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "10",
+                           "--degree", "1", "--workers", "1")
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert err.splitlines()[-1] == "search: 1/1 chunks"
+        assert out == ('{"sector":"1/3","degree":1,"coeff_bound":10,"prefix":166666,'
+                       '"survivors":[],"exhausted":true}\n')
 
     def test_prefix_over_the_region_limit_is_refused(self):
         child = self.spawn("verify", "--family", "cantor-f", "--prefix", "10000000000")

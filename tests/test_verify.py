@@ -206,6 +206,35 @@ class TestSearch:
         pooled = search_quadratic(I1, 1, 120, workers=2)
         assert serial == pooled
 
+    def test_starts_no_more_workers_than_chunks(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records its process count and maps in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                verify._WORK.clear()
+
+            def imap(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(verify.multiprocessing, "Pool", InProcessPool)
+        serial = search_quadratic(I1, 1, 120, workers=1)
+        totals = []
+        pooled = search_quadratic(I1, 1, 120, workers=64,
+                                  progress=lambda done, total: totals.append(total))
+        assert pooled == serial
+        assert started == [totals[-1]] and totals[-1] < 64
+        linear_impossibility_check(I1, 1, 120, workers=64)  # one chunk: no pool
+        assert started == [totals[-1]]
+
     def test_progress_callback(self):
         seen = []
         search_quadratic(I1, 1, 50, progress=lambda done, total: seen.append((done, total)))
