@@ -113,12 +113,6 @@ class Sector:
 
     __contains__ = contains
 
-    def require(self, p: Point) -> Point:
-        """Return p unchanged, or raise OutsideSectorError."""
-        if not self.contains(p):
-            raise OutsideSectorError(f"point {p} is outside the sector of slope {self.slope}")
-        return p
-
     def column_height(self, x: int) -> int:
         """Largest y with (x, y) in the sector, i.e. floor(r*x/s).  Finite slopes only."""
         if self.slope.is_infinite:

@@ -31,6 +31,12 @@ def check_fill_count(n: int) -> None:
         raise CapacityError(f"fill count {n} exceeds the addressable range")
 
 
+def _check_addressable(offset: int, p: Point) -> None:
+    # ranks are exact big integers; the buffer index must stay a machine word
+    if offset > sys.maxsize:
+        raise CapacityError(f"offset {offset} for point {p} exceeds the addressable range")
+
+
 class SectorArray:
     """Growable dense container over a packing family's sector.
 
@@ -56,28 +62,20 @@ class SectorArray:
     def __len__(self) -> int:
         return self._population
 
-    def _offset(self, p: Point) -> int:
-        offset = self.family.rank(p)
-        # ranks are exact big integers; the buffer index must stay a machine word
-        if offset > sys.maxsize:
-            raise CapacityError(
-                f"offset {offset} for point {p} exceeds the addressable range")
-        return offset
-
     def _grow_to(self, offset: int) -> None:
-        if offset < len(self._cells):
-            return
-        length = max(len(self._cells), 1)
-        while length <= offset:
-            length *= 2
-        self._cells.extend([_EMPTY] * (length - len(self._cells)))
+        # to the least power of two past offset; the length is 0 or a power of two already
+        if offset >= len(self._cells):
+            self._cells.extend([_EMPTY] * ((1 << offset.bit_length()) - len(self._cells)))
 
     def put(self, p: Point, value: Any) -> Any:
         """Store value at p's offset; returns the displaced value, or None."""
-        offset = self._offset(p)
-        self._grow_to(offset)
-        previous = self._cells[offset]
-        self._cells[offset] = value
+        offset = self.family.rank(p)
+        cells = self._cells
+        if offset >= len(cells):
+            _check_addressable(offset, p)
+            self._grow_to(offset)
+        previous = cells[offset]
+        cells[offset] = value
         if previous is _EMPTY:
             self._population += 1
             return None
@@ -85,8 +83,9 @@ class SectorArray:
 
     def get(self, p: Point) -> Any:
         """Value stored at p, or None when the cell is empty."""
-        offset = self._offset(p)
+        offset = self.family.rank(p)
         if offset >= len(self._cells):
+            _check_addressable(offset, p)
             return None
         value = self._cells[offset]
         return None if value is _EMPTY else value

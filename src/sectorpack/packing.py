@@ -16,24 +16,23 @@ top of the block when `top_down`.  The point's rank is
   period s and d = 0, one quasi-polynomial branch per class.
 
 The four integers r, d, period and top_down determine everything: `form`
-writes the count above in x and y, rank(p) evaluates it (asserting the value
-is a nonnegative integer), unrank(n) solves the block-prefix quadratic for a
-in closed form with `math.isqrt`, so both directions are exact at any
-magnitude, and walk() lists the points in rank order block by block, with
-no solving at all.
+writes the count above in x and y, for the proofs to check; rank(p) counts
+from p's block coordinates, which also decide membership; unrank(n) solves
+the block-prefix quadratic for a with `math.isqrt`, exact at any magnitude;
+and walk() lists the points in rank order block by block, with no solving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, repeat
 from math import gcd, isqrt
 from typing import Iterator, Union
 
-from .core import Point, Sector, SectorPackError, Slope, _is_ascii_number
+from .core import (OutsideSectorError, Point, Sector, SectorPackError, Slope,
+                   _is_ascii_number)
 from .poly import QuadPoly, QuasiPoly
 
 
@@ -73,51 +72,64 @@ class PackingFamily:
         return f"{self.kind.value}:{slope.r}/{slope.s}"
 
     @cached_property
+    def _model(self) -> tuple[int, int, int, bool, tuple[int, ...]]:
+        """(r, d, period, top_down, cs): block a of class ell has r*a + cs[ell] points.
+
+        One tuple, so rank and unrank take the whole model in one unpacking.
+        """
+        r, period = self.sector.slope.r, self.period
+        cs = tuple(r * ell // period + 1 for ell in range(period))
+        return r, self.d, period, self.top_down, cs
+
+    @cached_property
     def form(self) -> Union[QuadPoly, QuasiPoly]:
         """The rank in x and y: one quadratic per residue class of x mod period."""
-        r, period = self.sector.slope.r, self.period
+        r, d, period, top_down, cs = self._model
         branches = []
-        for ell in range(period):
-            c = r * ell // period + 1
-            a = (_X - ell * _ONE - self.d * _Y) / period
-            offset = r * a + (c - 1) * _ONE - _Y if self.top_down else _Y
+        for ell, c in enumerate(cs):
+            a = (_X - ell * _ONE - d * _Y) / period
+            offset = r * a + (c - 1) * _ONE - _Y if top_down else _Y
             count = r * (a * (a - _ONE)) / 2 + c * a + offset
             branches.append(period * count + ell * _ONE)
         if self.kind is FamilyKind.QUASI_H:
             return QuasiPoly(period, tuple(branches))
         return branches[0]
 
-    @cached_property
-    def _integer_forms(self) -> tuple:
-        # scaled integer coefficients per branch, so rank stays in plain int math
-        return tuple(branch.scaled_integer_form() for branch in self.form.branches)
-
     def rank(self, p: Point) -> int:
-        """Position of p in the family's enumeration: the form's value at p."""
-        self.sector.require(p)
-        forms = self._integer_forms
+        """Position of p in the family's enumeration, equal to the form's value at p.
+
+        Write x - d*y = period*a + ell.  p is in block a of class ell iff
+        0 <= y < r*a + c, which forces a >= 0 as c <= r, and this is sector
+        membership (on a finite slope, y >= 0 and s*y <= r*x give x >= 0):
+        * cantor (r = c = 1, d = -1): y < x + y + 1 is x >= 0;
+        * steep (c = 1, d = 0): y < r*x + 1 is y <= r*x;
+        * divides (c = 1, d = (s-1)/r): y < r*x - (s-1)*y + 1 is s*y <= r*x;
+        * quasi (period s, d = 0): r*a + c - 1 = floor(r*x/s) for x = s*a + ell.
+        """
         x, y = p
-        den, (a, b, c, d, e, g) = forms[x % len(forms)]
-        num = a * x * x + b * x * y + c * y * y + d * x + e * y + g
-        if num % den or num < 0:
-            raise SectorPackError(
-                f"{self.name} evaluated to {Fraction(num, den)} at {p}; construction is broken")
-        return num // den
+        r, d, period, top_down, cs = self._model
+        a, ell = divmod(x - d * y, period)
+        c = cs[ell]
+        size = r * a + c
+        if not 0 <= y < size:
+            raise OutsideSectorError(
+                f"point {p} is outside the sector of slope {self.sector.slope}")
+        return period * (r * a * (a - 1) // 2 + c * a + (size - 1 - y if top_down else y)) + ell
 
     def unrank(self, n: int) -> Point:
         """The unique sector point with rank n; total on the nonnegative integers."""
         if n < 0:
             raise SectorPackError(f"rank must be nonnegative, got {n}")
-        r, period = self.sector.slope.r, self.period
+        r, d, period, top_down, cs = self._model
         m, ell = divmod(n, period)
-        c = r * ell // period + 1
+        c = cs[ell]
         # largest a >= 0 with r*a*(a-1)/2 + c*a <= m: the floor of the positive
         # root of r*a^2 + b*a - 2m, exact because isqrt floors the discriminant
         b = 2 * c - r
         a = (isqrt(b * b + 8 * r * m) - b) // (2 * r)
         offset = m - r * a * (a - 1) // 2 - c * a
-        j = r * a + c - 1 - offset if self.top_down else offset
-        return (period * a + ell + self.d * j, j)
+        j = r * a + c - 1 - offset if top_down else offset
+        return (period * a + ell + d * j, j)
 
     def walk(self) -> Iterator[Point]:
         """Every sector point in rank order, from rank 0: unrank(0), unrank(1), ...
@@ -131,11 +143,11 @@ class PackingFamily:
 
     def _blocks(self, ell: int) -> Iterator[Iterator[Point]]:
         """The points of class ell's blocks a = 0, 1, ..., each block in rank order."""
-        r, d, period = self.sector.slope.r, self.d, self.period
-        c = r * ell // period + 1
+        r, d, period, top_down, cs = self._model
+        c = cs[ell]
         for a in count():
             size, x = r * a + c, period * a + ell
-            ys = range(size - 1, -1, -1) if self.top_down else range(size)
+            ys = range(size - 1, -1, -1) if top_down else range(size)
             # a point's x, x + d*y, is affine in y: over ys it is a range of equal length
             xs = range(x + d * ys.start, x + d * ys.stop, d * ys.step) if d else repeat(x, size)
             yield zip(xs, ys)

@@ -74,10 +74,13 @@ class TestEval:
         assert json.loads(out) == {"rank": 2}
 
     def test_outside_sector_is_domain_error(self, capsys):
-        status, out, err = run(capsys, "eval", "--family", "steep-f:1", "--point", "1,2")
-        assert status == 1
-        assert out == ""
-        assert "outside" in err
+        # one family of each kind, each point one step past a ray
+        for family, point, slope in (("cantor-f", "-1,0", "inf"), ("steep-f:1", "1,2", "1"),
+                                     ("div-f:2/5", "2,1", "2/5"), ("quasi:3/2", "1,2", "3/2")):
+            status, out, err = run(capsys, "eval", "--family", family, f"--point={point}")
+            x, y = point.split(",")
+            assert (status, out) == (1, ""), family
+            assert err == f"error: point ({x}, {y}) is outside the sector of slope {slope}\n"
 
     def test_bad_family_is_domain_error(self, capsys):
         status, _, _ = run(capsys, "eval", "--family", "div-f:2/4", "--point", "0,0")

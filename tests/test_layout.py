@@ -49,6 +49,11 @@ class TestBasics:
     def test_get_on_empty(self):
         arr = SectorArray(cantor("F"))
         assert arr.get((5, 5)) is None
+        arr.put((2, 2), "x")  # offset 12: a buffer of 16 cells
+        assert arr.storage_length == 16
+        for p in ((0, 0), (1, 2), (0, 4)):  # empty cells inside it, at offsets 0, 8 and 14
+            assert arr.get(p) is None
+        assert arr.get((2, 2)) == "x"
 
     def test_storing_none_counts_as_occupied(self):
         arr = SectorArray(steep("F", 1))
@@ -61,8 +66,21 @@ class TestBasics:
         with pytest.raises(CapacityError):
             arr.put((huge, 0), "x")
         with pytest.raises(CapacityError):
+            arr.get((huge, 0))
+        with pytest.raises(CapacityError):
             arr.dense_prefix_fill(2 ** 70, lambda p: p)
         assert arr.storage_length == 0
+
+    @pytest.mark.parametrize("n,length", [(1, 2), (5, 8), (100, 128), (1023, 1024), (1024, 2048)])
+    def test_put_past_the_end_grows_to_a_power_of_two(self, n, length):
+        family = quasi_h(3, 2)
+        arr = SectorArray(family)
+        arr.put(family.unrank(0), "first")
+        arr.put(family.unrank(n), "past")
+        assert arr.storage_length == length
+        assert arr.get(family.unrank(0)) == "first"
+        assert arr.get(family.unrank(n)) == "past"
+        assert arr.population == 2
 
 
 class TestIterate:

@@ -85,6 +85,45 @@ class TestRank:
             cantor("F").rank((-1, 0))
 
 
+class TestRankAgainstTheForm:
+    """rank works on block coordinates; form is the polynomial the proofs check."""
+
+    def test_rank_is_the_form_on_the_sector(self):
+        for family in all_families(10):
+            form = family.form
+            for p in sector_points(family.sector, 40, 40):
+                assert family.rank(p) == form.evaluate(p), (family.name, p)
+
+    def test_rank_rejects_exactly_the_points_outside(self):
+        for family in all_families(10):
+            for p in itertools.product(range(-3, 41), repeat=2):
+                if family.sector.contains(p):
+                    family.rank(p)
+                else:
+                    with pytest.raises(OutsideSectorError) as exc:
+                        family.rank(p)
+                    assert str(exc.value) == (
+                        f"point {p} is outside the sector of slope {family.sector.slope}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(all_families(10)), k=st.integers(-10**6, 10**6))
+    def test_one_step_past_each_ray_near_1e20(self, family, k):
+        t = 10**20 + k
+        r, s = family.sector.slope.r, family.sector.slope.s
+        # (inside, outside) pairs: the x-axis, then the other ray stepped up and left
+        edges = [((t, 0), (t, -1))]
+        if s == 0:
+            edges.append(((0, t), (-1, t)))
+        else:
+            left = -(-s * t // r)  # least x with s*t <= r*x
+            edges += [((t, r * t // s), (t, r * t // s + 1)), ((left, t), (left - 1, t))]
+        for inside, outside in edges:
+            assert family.rank(inside) == family.form.evaluate(inside), (family.name, inside)
+            assert family.unrank(family.rank(inside)) == inside
+            with pytest.raises(OutsideSectorError):
+                family.rank(outside)
+
+
 class TestUnrank:
     def test_examples(self):
         assert cantor("F").unrank(7) == (2, 1)
