@@ -6,20 +6,19 @@ verification and bounded search, and a sector-shaped array container that
 uses the bijections as storage mapping functions.
 """
 
-from .core import (OutsideSectorError, Point, Sector, SectorPackError, Slope,
-                   SlopeSyntaxError, parse_slope)
+from .core import (OrderKind, OutsideSectorError, Point, Sector, SectorPackError,
+                   Slope, SlopeSyntaxError, parse_slope)
 from .layout import CapacityError, SectorArray
-from .packing import (FamilyKind, PackingFamily, cantor, divides,
-                      parse_family, quasi_h, steep)
+from .packing import PackingFamily, cantor, divides, parse_family, quasi_h, steep
 from .poly import (PolySyntaxError, QuadPoly, QuasiPoly, deserialize,
                    format_rational, parse_rational, serialize)
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (OrderKind, PackingVerdict, SearchReport, enumerate_sector,
+from .verify import (PackingVerdict, SearchReport, enumerate_sector,
                      linear_impossibility_check, search_quadratic,
                      verify_packing)
 
 __all__ = [
-    "CapacityError", "FamilyKind",
+    "CapacityError",
     "LinearMap2", "OrderKind", "OutsideSectorError",
     "PackingFamily", "PackingVerdict", "Point", "PolySyntaxError", "QuadPoly",
     "QuasiPoly", "SearchReport", "Sector", "SectorArray", "SectorPackError",

@@ -24,13 +24,13 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .core import Sector, SectorPackError, _is_ascii_number, parse_slope
+from .core import OrderKind, Sector, SectorPackError, _is_ascii_number, _to_int, parse_slope
 from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (OrderKind, iter_sector, linear_impossibility_check, region_target,
-                     search_quadratic, verify_packing)
+from .verify import (iter_sector, linear_impossibility_check, region_target, search_quadratic,
+                     verify_packing)
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
@@ -43,7 +43,16 @@ def _strict_int(token: str) -> int:
     digits = token[1:] if token.startswith("-") else token
     if not _is_ascii_number(digits):
         raise SectorPackError(f"malformed integer {token!r}")
-    return int(token)
+    return _to_int(token)
+
+
+def _digits(n: int) -> str:
+    """str(n); past Python's digit limit, a SectorPackError, as for an argument."""
+    try:
+        return str(n)
+    except ValueError:
+        raise SectorPackError(f"result exceeds the limit of {sys.get_int_max_str_digits()} "
+                              "digits for printing an integer") from None
 
 
 def _integer_option(token: str) -> int:
@@ -55,7 +64,7 @@ def _integer_option(token: str) -> int:
 
 
 def parse_point(text: str) -> tuple[int, int]:
-    """Parse "x,y" with no spaces; integers of any size."""
+    """Parse "x,y" with no spaces; integers up to Python's digit limit (4,300)."""
     parts = text.split(",")
     if len(parts) != 2:
         raise SectorPackError(f"point must be x,y, got {text!r}")
@@ -162,22 +171,26 @@ def _check_region(sector: Sector, prefix: int) -> None:
 
 # Each command checks its arguments, then returns its output as pieces of text
 # (one piece for a one-shot result) and the exit status.  The pieces may be made
-# lazily: every check has run by the time main opens the output.
+# lazily: every check has run by the time main opens the output.  A one-shot
+# result prints its integers through _digits (json prints an int as its str).
 
 def _cmd_eval(args) -> tuple[Iterable[str], int]:
     family = parse_family(args.family)
-    value = family.rank(parse_point(args.point))
+    value = _digits(family.rank(parse_point(args.point)))
     if args.format == "json":
-        return [json.dumps({"rank": value})], 0
-    return [str(value)], 0
+        return [f'{{"rank": {value}}}'], 0
+    return [value], 0
+
+
+def _point_result(key: str, point: tuple[int, int], fmt: str) -> tuple[Iterable[str], int]:
+    x, y = map(_digits, point)
+    if fmt == "json":
+        return [f'{{"{key}": [{x}, {y}]}}'], 0
+    return [f"{x},{y}"], 0
 
 
 def _cmd_unrank(args) -> tuple[Iterable[str], int]:
-    family = parse_family(args.family)
-    x, y = family.unrank(args.rank)
-    if args.format == "json":
-        return [json.dumps({"point": [x, y]})], 0
-    return [f"{x},{y}"], 0
+    return _point_result("point", parse_family(args.family).unrank(args.rank), args.format)
 
 
 def _cmd_enumerate(args) -> tuple[Iterable[str], int]:
@@ -194,6 +207,8 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     if (args.family is None) == (args.poly is None):
         raise SectorPackError("verify needs exactly one of --family or --poly")
     if args.family is not None:
+        if args.slope is not None:
+            raise SectorPackError("--slope is for --poly; a family fixes its own sector")
         family = parse_family(args.family)
         candidate, sector = family.form, family.sector
     else:
@@ -214,15 +229,10 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
 def _cmd_search(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
     _check_region(sector, args.prefix)
-    step = None
 
-    def progress(done, total):
-        nonlocal step
-        tick = max(1, total // 10)
-        if done == total or done % tick == 0:
-            if step != done:
-                print(f"search: {done}/{total} chunks", file=sys.stderr)
-                step = done
+    def progress(done, total):  # called once for each chunk done
+        if done == total or done % max(1, total // 10) == 0:
+            print(f"search: {done}/{total} chunks", file=sys.stderr)
 
     run = search_quadratic if args.degree == 2 else linear_impossibility_check
     report = run(sector, args.bound, args.prefix, workers=args.workers, progress=progress)
@@ -248,13 +258,11 @@ def _cmd_basis(args) -> tuple[Iterable[str], int]:
 def _cmd_transform(args) -> tuple[Iterable[str], int]:
     m = parse_map(args.family)
     if args.point is not None:
-        x, y = m.apply(parse_point(args.point))
-        if args.format == "json":
-            return [json.dumps({"image": [x, y]})], 0
-        return [f"{x},{y}"], 0
+        return _point_result("image", m.apply(parse_point(args.point)), args.format)
+    rows = [_digits(v) for v in m.rows()]
     if args.format == "json":
-        return [json.dumps({"matrix": list(m.rows())})], 0
-    return [" ".join(str(v) for v in m.rows())], 0
+        return [f'{{"matrix": [{", ".join(rows)}]}}'], 0
+    return [" ".join(rows)], 0
 
 
 def _cmd_layout(args) -> tuple[Iterable[str], int]:

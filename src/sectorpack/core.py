@@ -1,4 +1,5 @@
-"""Slopes, integer sectors, membership, and the free-basis decision.
+"""Slopes, integer sectors, membership, enumeration orders, and the
+free-basis decision.
 
 A sector slope is a reduced positive fraction r/s or infinity.  The integer
 sector of slope r/s is the set of lattice points (x, y) with x, y >= 0 and
@@ -8,7 +9,9 @@ exact: plain Python integers throughout, no floating point anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from enum import Enum
 from math import gcd
 
 Point = tuple[int, int]
@@ -70,8 +73,40 @@ class Slope:
         return f"{self.r}/{self.s}"
 
 
+class OrderKind(Enum):
+    """A total order on a sector's points in which every point has finite rank.
+
+    The diagonals (d = -1), the columns (d = 0) and the blocks of r/s with
+    r | s-1 (d = (s-1)/r) count the lines x - d*y = K, K = 0, 1, ...; the
+    residue order interleaves the columns of the classes of x mod s.
+    """
+
+    DIAGONAL = "diagonal"
+    REVERSE_DIAGONAL = "reverse-diagonal"
+    COLUMN_BOTTOM_UP = "column-bottom-up"
+    COLUMN_TOP_DOWN = "column-top-down"
+    BLOCK_BOTTOM_UP = "block-bottom-up"
+    BLOCK_TOP_DOWN = "block-top-down"
+    RESIDUE_INTERLEAVED = "residue-interleaved"
+
+    @property
+    def top_down(self) -> bool:
+        """Whether the order counts each line from its top."""
+        return self in (OrderKind.REVERSE_DIAGONAL, OrderKind.COLUMN_TOP_DOWN,
+                        OrderKind.BLOCK_TOP_DOWN)
+
+
 def _is_ascii_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
+
+
+def _to_int(token: str) -> int:
+    """int(token) for checked digits; past Python's digit limit, a SectorPackError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise SectorPackError(f"integer of {len(token.lstrip('-'))} digits exceeds the limit "
+                              f"of {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_slope(text: str) -> Slope:
@@ -85,8 +120,8 @@ def parse_slope(text: str) -> Slope:
     num, sep, den = text.partition("/")
     if not _is_ascii_number(num) or (sep and not _is_ascii_number(den)):
         raise SlopeSyntaxError(f"malformed slope {text!r}")
-    r = int(num)
-    s = int(den) if sep else 1
+    r = _to_int(num)
+    s = _to_int(den) if sep else 1
     if r == 0:
         raise SlopeSyntaxError("slope 0 is degenerate and not modeled")
     if s == 0:

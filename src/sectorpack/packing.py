@@ -1,50 +1,45 @@
 """The packing families as one block model, with rank and unrank for each.
 
-Every family tiles its sector by blocks and counts them in order.  With r
-the numerator of the slope (1 for the quadrant), residue class ell of x mod
-`period` has blocks a = 0, 1, ... of r*a + c points, c = r*ell // period + 1;
-offset j of block a is the point (period*a + ell + d*j, j), counted from the
-top of the block when `top_down`.  The point's rank is
+A family is an order on a sector: its `OrderKind` and the slope r/s (r = 1,
+s = 0 for the quadrant) fix everything, in `_model`.  Residue class ell of
+x mod `period` has blocks a = 0, 1, ... of r*a + c points, c = r*ell //
+period + 1; offset j of block a is the point (period*a + ell + d*j, j),
+counted from the top of the block when `top_down`.  The point's rank is
 
     period * (r*a*(a-1)/2 + c*a + offset) + ell.
 
-* cantor F/G: the quadrant by antidiagonals, d = -1;
-* steep F/G: integer slopes r, column by column, d = 0;
-* divides F/G: slopes r/s with r | s-1, by slanted blocks with step
-  d = (s-1)/r;
-* quasi H: any reduced slope r/s, the s residue classes of x interleaved,
-  period s and d = 0, one quasi-polynomial branch per class.
+* cantor F/G (antidiagonals, d = -1), steep F/G (columns of an integer
+  slope, d = 0) and divides F/G (slanted blocks of r/s with r | s-1) count
+  the lines x - d*y = K with d = (s-1)//r and period 1;
+* quasi H interleaves the s residue classes of x: period s and d = 0;
+* the G variants count each line top-down.
 
-The four integers r, d, period and top_down determine everything: `form`
-writes the count above in x and y, for the proofs to check; rank(p) counts
-from p's block coordinates, which also decide membership; unrank(n) solves
-the block-prefix quadratic for a with `math.isqrt`, exact at any magnitude;
-and walk() lists the points in rank order block by block, with no solving.
+`form` writes the count above in x and y, for the proofs to check; rank(p)
+counts from p's block coordinates, which also decide membership; unrank(n)
+solves the block-prefix quadratic for a with `math.isqrt`, exact at any
+magnitude; and walk() lists the points in rank order block by block, with
+no solving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain, count, repeat
 from math import gcd, isqrt
 from typing import Iterator, Union
 
-from .core import (OutsideSectorError, Point, Sector, SectorPackError, Slope,
-                   _is_ascii_number)
+from .core import (OrderKind, OutsideSectorError, Point, Sector, SectorPackError, Slope,
+                   _is_ascii_number, _to_int)
 from .poly import QuadPoly, QuasiPoly
 
-
-class FamilyKind(Enum):
-    CANTOR_F = "cantor-f"
-    CANTOR_G = "cantor-g"
-    STEEP_F = "steep-f"
-    STEEP_G = "steep-g"
-    DIVIDES_F = "div-f"
-    DIVIDES_G = "div-g"
-    QUASI_H = "quasi"
-
+# the CLI head of each order's family, read by `name` and `parse_family`
+_HEADS = {OrderKind.DIAGONAL: "cantor-f", OrderKind.REVERSE_DIAGONAL: "cantor-g",
+          OrderKind.COLUMN_BOTTOM_UP: "steep-f", OrderKind.COLUMN_TOP_DOWN: "steep-g",
+          OrderKind.BLOCK_BOTTOM_UP: "div-f", OrderKind.BLOCK_TOP_DOWN: "div-g",
+          OrderKind.RESIDUE_INTERLEAVED: "quasi"}
+_ORDERS = {head: order for order, head in _HEADS.items()}
+_COLUMNS = (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN)
 
 _X = QuadPoly.x()
 _Y = QuadPoly.y()
@@ -53,23 +48,20 @@ _ONE = QuadPoly.constant(1)
 
 @dataclass(frozen=True)
 class PackingFamily:
-    """A verified packing function: a sector and the block model that counts it."""
+    """A verified packing function: the order that counts a sector's points."""
 
-    kind: FamilyKind
+    order: OrderKind
     sector: Sector
-    d: int
-    period: int
-    top_down: bool
 
     @property
     def name(self) -> str:
         """CLI name: cantor-f, steep-f:r, div-f:r/s, quasi:r/s, ..."""
-        if self.kind in (FamilyKind.CANTOR_F, FamilyKind.CANTOR_G):
-            return self.kind.value
-        slope = self.sector.slope
-        if self.kind in (FamilyKind.STEEP_F, FamilyKind.STEEP_G):
-            return f"{self.kind.value}:{slope.r}"
-        return f"{self.kind.value}:{slope.r}/{slope.s}"
+        head, slope = _HEADS[self.order], self.sector.slope
+        if slope.is_infinite:
+            return head
+        if self.order in _COLUMNS:
+            return f"{head}:{slope.r}"
+        return f"{head}:{slope.r}/{slope.s}"
 
     @cached_property
     def _model(self) -> tuple[int, int, int, bool, tuple[int, ...]]:
@@ -77,9 +69,13 @@ class PackingFamily:
 
         One tuple, so rank and unrank take the whole model in one unpacking.
         """
-        r, period = self.sector.slope.r, self.period
+        r, s = self.sector.slope.r, self.sector.slope.s
+        if self.order is OrderKind.RESIDUE_INTERLEAVED:
+            d, period = 0, s
+        else:
+            d, period = (s - 1) // r, 1
         cs = tuple(r * ell // period + 1 for ell in range(period))
-        return r, self.d, period, self.top_down, cs
+        return r, d, period, self.order.top_down, cs
 
     @cached_property
     def form(self) -> Union[QuadPoly, QuasiPoly]:
@@ -91,7 +87,7 @@ class PackingFamily:
             offset = r * a + (c - 1) * _ONE - _Y if top_down else _Y
             count = r * (a * (a - _ONE)) / 2 + c * a + offset
             branches.append(period * count + ell * _ONE)
-        if self.kind is FamilyKind.QUASI_H:
+        if self.order is OrderKind.RESIDUE_INTERLEAVED:
             return QuasiPoly(period, tuple(branches))
         return branches[0]
 
@@ -101,9 +97,8 @@ class PackingFamily:
         Write x - d*y = period*a + ell.  p is in block a of class ell iff
         0 <= y < r*a + c, which forces a >= 0 as c <= r, and this is sector
         membership (on a finite slope, y >= 0 and s*y <= r*x give x >= 0):
-        * cantor (r = c = 1, d = -1): y < x + y + 1 is x >= 0;
-        * steep (c = 1, d = 0): y < r*x + 1 is y <= r*x;
-        * divides (c = 1, d = (s-1)/r): y < r*x - (s-1)*y + 1 is s*y <= r*x;
+        * line orders (period 1, c = 1, r*d = s - 1; the quadrant has s = 0):
+          y < r*(x - d*y) + 1 is s*y <= r*x;
         * quasi (period s, d = 0): r*a + c - 1 = floor(r*x/s) for x = s*a + ell.
         """
         x, y = p
@@ -138,8 +133,9 @@ class PackingFamily:
         block, not once per point; the classes interleave round-robin, as
         rank = period*m + ell.
         """
-        walks = [chain.from_iterable(self._blocks(ell)) for ell in range(self.period)]
-        return walks[0] if self.period == 1 else chain.from_iterable(zip(*walks))
+        period = self._model[2]
+        walks = [chain.from_iterable(self._blocks(ell)) for ell in range(period)]
+        return walks[0] if period == 1 else chain.from_iterable(zip(*walks))
 
     def _blocks(self, ell: int) -> Iterator[Iterator[Point]]:
         """The points of class ell's blocks a = 0, 1, ..., each block in rank order."""
@@ -153,10 +149,11 @@ class PackingFamily:
             yield zip(xs, ys)
 
 
-def _require_variant(variant: str) -> str:
+def _variant_order(variant: str, f_order: OrderKind, g_order: OrderKind) -> OrderKind:
+    """The F variant's order or the G variant's, by the variant's letter."""
     if variant not in ("F", "G"):
         raise SectorPackError(f'variant must be "F" or "G", got {variant!r}')
-    return variant
+    return f_order if variant == "F" else g_order
 
 
 def cantor(variant: str) -> PackingFamily:
@@ -165,8 +162,8 @@ def cantor(variant: str) -> PackingFamily:
     F = ((x+y)^2 + x + 3y)/2 counts each antidiagonal from the x-axis up,
     G = ((x+y)^2 + 3x + y)/2 from the y-axis down.
     """
-    kind = FamilyKind.CANTOR_F if _require_variant(variant) == "F" else FamilyKind.CANTOR_G
-    return PackingFamily(kind, Sector(Slope.infinite()), -1, 1, variant == "G")
+    order = _variant_order(variant, OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL)
+    return PackingFamily(order, Sector(Slope.infinite()))
 
 
 def steep(variant: str, r: int) -> PackingFamily:
@@ -175,10 +172,10 @@ def steep(variant: str, r: int) -> PackingFamily:
     F counts each column bottom-up: r*x*(x-1)/2 + x + y.
     G counts each column top-down:  r*x*(x+1)/2 + x - y.
     """
-    kind = FamilyKind.STEEP_F if _require_variant(variant) == "F" else FamilyKind.STEEP_G
+    order = _variant_order(variant, OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN)
     if r < 1:
         raise SectorPackError(f"slope must be a positive integer, got {r}")
-    return PackingFamily(kind, Sector(Slope(r, 1)), 0, 1, variant == "G")
+    return PackingFamily(order, Sector(Slope(r, 1)))
 
 
 def _coprime_sector(r: int, s: int) -> Sector:
@@ -192,13 +189,13 @@ def _coprime_sector(r: int, s: int) -> Sector:
 
 def divides(variant: str, r: int, s: int) -> PackingFamily:
     """Packing polynomials on the slope-r/s sector when r divides s-1, by slanted blocks."""
-    kind = FamilyKind.DIVIDES_F if _require_variant(variant) == "F" else FamilyKind.DIVIDES_G
+    order = _variant_order(variant, OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN)
     sector = _coprime_sector(r, s)
     if not r < s:
         raise SectorPackError(f"need r < s, got ({r}, {s})")
     if (s - 1) % r != 0:
         raise SectorPackError(f"{r} does not divide {s} - 1")
-    return PackingFamily(kind, sector, (s - 1) // r, 1, variant == "G")
+    return PackingFamily(order, sector)
 
 
 def quasi_h(r: int, s: int) -> PackingFamily:
@@ -208,7 +205,7 @@ def quasi_h(r: int, s: int) -> PackingFamily:
     packing polynomial into every s-th value.  For s = 1 the single branch
     collapses to the integer-slope polynomial steep("F", r).
     """
-    return PackingFamily(FamilyKind.QUASI_H, _coprime_sector(r, s), 0, s, False)
+    return PackingFamily(OrderKind.RESIDUE_INTERLEAVED, _coprime_sector(r, s))
 
 
 def parse_family(name: str) -> PackingFamily:
@@ -217,25 +214,25 @@ def parse_family(name: str) -> PackingFamily:
     Parameters are taken literally: div-f:2/4 is rejected rather than reduced.
     """
     head, sep, params = name.partition(":")
-    if head in ("cantor-f", "cantor-g"):
+    order = _ORDERS.get(head)
+    variant = "G" if order and order.top_down else "F"
+    if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
         if sep:
             raise SectorPackError(f"{head} takes no parameters")
-        return cantor("F" if head.endswith("f") else "G")
-    if not sep:
+        return cantor(variant)
+    if order is None or not sep:
         raise SectorPackError(f"unknown family {name!r}")
-    if head in ("steep-f", "steep-g"):
-        return steep("F" if head.endswith("f") else "G", _parse_param_int(params))
-    if head in ("div-f", "div-g", "quasi"):
-        num, slash, den = params.partition("/")
-        r = _parse_param_int(num)
-        s = _parse_param_int(den) if slash else 1
-        if head == "quasi":
-            return quasi_h(r, s)
-        return divides("F" if head.endswith("f") else "G", r, s)
-    raise SectorPackError(f"unknown family {name!r}")
+    if order in _COLUMNS:
+        return steep(variant, _parse_param_int(params))
+    num, slash, den = params.partition("/")
+    r = _parse_param_int(num)
+    s = _parse_param_int(den) if slash else 1
+    if order is OrderKind.RESIDUE_INTERLEAVED:
+        return quasi_h(r, s)
+    return divides(variant, r, s)
 
 
 def _parse_param_int(token: str) -> int:
     if not _is_ascii_number(token):
         raise SectorPackError(f"malformed family parameter {token!r}")
-    return int(token)
+    return _to_int(token)

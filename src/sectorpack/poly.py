@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from .core import Point, SectorPackError
+from .core import Point, SectorPackError, _to_int
 from .transforms import LinearMap2
 
 RationalLike = Union[int, Fraction]
@@ -39,9 +39,10 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise PolySyntaxError(f"invalid rational {text!r}")
     num, sep, den = text.partition("/")
-    if sep and int(den) == 0:
+    num, den = _to_int(num), _to_int(den) if sep else 1
+    if den == 0:
         raise PolySyntaxError(f"invalid rational {text!r}: zero denominator")
-    return Fraction(int(num), int(den)) if sep else Fraction(int(num))
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,8 @@ def _quad_from_object(obj) -> QuadPoly:
     unknown = set(obj) - set(_COEFF_KEYS)
     if unknown:
         raise PolySyntaxError(f"unknown coefficient keys {sorted(unknown)}")
-    coeffs = {key: parse_rational(obj[key]) for key in obj}
-    return QuadPoly(
-        c20=coeffs.get("x2", Fraction(0)),
-        c11=coeffs.get("xy", Fraction(0)),
-        c02=coeffs.get("y2", Fraction(0)),
-        c10=coeffs.get("x", Fraction(0)),
-        c01=coeffs.get("y", Fraction(0)),
-        c00=coeffs.get("1", Fraction(0)),
-    )
+    coeffs = {key: parse_rational(obj[key]) for key in obj}  # parsed in the object's order
+    return QuadPoly(*(coeffs.get(key, 0) for key in _COEFF_KEYS))
 
 
 def serialize(f: PolyLike) -> str:
@@ -233,7 +227,7 @@ def deserialize(text: str) -> PolyLike:
     """Inverse of serialize; strict about keys, rational syntax, and branch counts."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise PolySyntaxError(f"invalid polynomial JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise PolySyntaxError("polynomial JSON must be an object")

@@ -3,7 +3,11 @@
 `enumerate_sector` is the ground truth everything else is measured against:
 it walks a sector's lattice points in a stated order using nothing but the
 membership predicate, so a point's rank is simply its position.  An order is
-a plain `OrderKind`; the slope supplies its block step or residue period.
+a plain `OrderKind`, and one walker, `_lines`, serves every order: it counts
+the lines x - d*y = K, K = 0, 1, ..., each from y = 0 to the top that the
+sector test s*y <= r*x gives along the line, with d = -1 for the quadrant's
+antidiagonals, 0 for columns and (s-1)/r for slanted blocks.  The residue
+order interleaves s such column walks, one per class of x mod s.
 
 `verify_packing` checks an arbitrary candidate on a finite prefix of the
 sector: values must be nonnegative integers, pairwise distinct, and cover
@@ -68,14 +72,13 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import Point, Sector, SectorPackError
+from .core import OrderKind, Point, Sector, SectorPackError
 from .poly import PolyLike, QuadPoly, _quad_to_object
 
 # Base examined-region size as a multiple of the requested prefix; the
@@ -84,55 +87,17 @@ from .poly import PolyLike, QuadPoly, _quad_to_object
 _COVERAGE_MARGIN = 4
 
 
-class OrderKind(Enum):
-    """A total order on a sector's points in which every point has finite rank.
-
-    The slope r/s fixes each order's parameter: the block orders step by
-    (s-1)/r, and the residue order interleaves the s classes of x mod s.
-    """
-
-    DIAGONAL = "diagonal"
-    REVERSE_DIAGONAL = "reverse-diagonal"
-    COLUMN_BOTTOM_UP = "column-bottom-up"
-    COLUMN_TOP_DOWN = "column-top-down"
-    BLOCK_BOTTOM_UP = "block-bottom-up"
-    BLOCK_TOP_DOWN = "block-top-down"
-    RESIDUE_INTERLEAVED = "residue-interleaved"
-
-
-def _iter_diagonal(reverse: bool) -> Iterator[Point]:
-    for d in itertools.count():
-        for k in range(d + 1):
-            yield (k, d - k) if reverse else (d - k, k)
-
-
-def _iter_columns(sector: Sector, top_down: bool) -> Iterator[Point]:
-    for x in itertools.count():
-        top = sector.column_height(x)
-        span = range(top, -1, -1) if top_down else range(top + 1)
-        for y in span:
-            yield (x, y)
-
-
-def _iter_blocks(r: int, d: int, top_down: bool) -> Iterator[Point]:
-    for a in itertools.count():
-        span = range(r * a, -1, -1) if top_down else range(r * a + 1)
-        for j in span:
-            yield (a + d * j, j)
-
-
-def _iter_residues(sector: Sector, s: int) -> Iterator[Point]:
-    def column_scan(ell: int) -> Iterator[Point]:
-        x = ell
-        while True:
-            for y in range(sector.column_height(x) + 1):
-                yield (x, y)
-            x += s
-
-    scans = [column_scan(ell) for ell in range(s)]
-    while True:
-        for scan in scans:
-            yield next(scan)
+def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
+           step: int = 1) -> Iterator[Point]:
+    """The points of the lines x - d*y = K, K = start, start + step, ..., each
+    from y = 0 up or from its top down.  (K + d*y, y) is in the sector iff
+    y >= 0 and s*y <= r*(K + d*y), that is (s - r*d)*y <= r*K; every order
+    has s - r*d >= 1, so line K holds y = 0 .. r*K // (s - r*d)."""
+    r, s = sector.slope.r, sector.slope.s
+    for k in itertools.count(start, step):
+        top = r * k // (s - r * d)
+        for y in range(top, -1, -1) if top_down else range(top + 1):
+            yield (k + d * y, y)
 
 
 def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
@@ -140,17 +105,18 @@ def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
     if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
         if not slope.is_infinite:
             raise SectorPackError(f"{order.value} requires the infinite sector")
-        return _iter_diagonal(reverse=order is OrderKind.REVERSE_DIAGONAL)
+        return _lines(sector, -1, order.top_down)
     if slope.is_infinite:
         raise SectorPackError(f"{order.value} requires a finite slope")
-    if order in (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN):
-        return _iter_columns(sector, top_down=order is OrderKind.COLUMN_TOP_DOWN)
+    if order is OrderKind.RESIDUE_INTERLEAVED:
+        # the columns of each class ell of x mod s, interleaved round-robin
+        columns = [_lines(sector, 0, False, ell, slope.s) for ell in range(slope.s)]
+        return itertools.chain.from_iterable(zip(*columns))
     if order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-        r, s = slope.r, slope.s
-        if (s - 1) % r:
+        if (slope.s - 1) % slope.r:
             raise SectorPackError(f"{order.value} requires a slope r/s with r | s-1, got {slope}")
-        return _iter_blocks(r, (s - 1) // r, top_down=order is OrderKind.BLOCK_TOP_DOWN)
-    return _iter_residues(sector, slope.s)
+        return _lines(sector, (slope.s - 1) // slope.r, order.top_down)
+    return _lines(sector, 0, order.top_down)  # the columns, on any finite slope
 
 
 def iter_sector(sector: Sector, order: OrderKind, count: int) -> Iterator[Point]:

@@ -196,6 +196,11 @@ class TestVerify:
         status, _, _ = run(capsys, "verify", "--family", "cantor-f", "--poly", "{}")
         assert status == 1
 
+    def test_family_refuses_a_slope(self, capsys):
+        # a family fixes its own sector, so a --slope beside it would be ignored
+        assert run(capsys, "verify", "--family", "cantor-f", "--slope", "2/3", "--prefix", "10") \
+            == (1, "", "error: --slope is for --poly; a family fixes its own sector\n")
+
     def test_poly_requires_slope(self, capsys):
         status, _, _ = run(capsys, "verify", "--poly", "{}")
         assert status == 1
@@ -350,6 +355,62 @@ class TestPlumbing:
         status, _, err = run(capsys, "basis", "--slope", "0")
         assert status == 1
         assert "error:" in err
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no limit on the digits of int/str conversion")
+class TestDigitLimit:
+    """Integers past the interpreter's limit on the digits of a conversion."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "cantor-f", "--point", "LONG,0"],
+        ["basis", "--slope", "LONG"],
+        ["eval", "--family", "steep-f:LONG", "--point", "1,0"],
+        ["eval", "--family", "div-f:1/LONG", "--point", "1,0"],
+        ["transform", "--family", "lambda:LONG"],
+        ["transform", "--family", "lambda:2", "--point=-LONG,0"],
+        ["verify", "--poly", '{"x": "LONG"}', "--slope", "1"],
+    ], ids=["point", "slope", "family-parameter", "family-slope", "map-parameter",
+            "negative-point", "coefficient"])
+    def test_an_argument_past_the_limit_is_a_domain_error(self, capsys, tmp_path, argv):
+        long = "1" * (_DIGIT_LIMIT + 700)
+        target = tmp_path / "result.txt"
+        argv = [arg.replace("LONG", long) for arg in argv] + ["--out", str(target)]
+        message = (f"error: integer of {_DIGIT_LIMIT + 700} digits exceeds the limit of "
+                   f"{_DIGIT_LIMIT} digits\n")
+        assert run(capsys, *argv) == (1, "", message)
+        assert not target.exists()
+
+    def test_a_json_integer_past_the_limit_is_a_domain_error(self, capsys):
+        status, out, err = run(capsys, "verify", "--poly",
+                               '{"period": %s}' % ("1" * (_DIGIT_LIMIT + 1)), "--slope", "1")
+        assert (status, out) == (1, "")
+        assert err.startswith("error: invalid polynomial JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "cantor-f", "--point", "{half},0"],
+        ["transform", "--family", "lambda:{half}", "--point", "0,{half}"],
+    ], ids=["rank", "image"])
+    def test_a_result_past_the_limit_is_a_domain_error(self, capsys, tmp_path, argv, fmt):
+        # each argument is in the limit, but the result has about twice its digits
+        half = "9" * (_DIGIT_LIMIT // 2 + 100)
+        target = tmp_path / "result.txt"
+        argv = [arg.format(half=half) for arg in argv] + ["--format", fmt, "--out", str(target)]
+        message = (f"error: result exceeds the limit of {_DIGIT_LIMIT} digits "
+                   "for printing an integer\n")
+        assert run(capsys, *argv) == (1, "", message)
+        assert not target.exists()
+
+    def test_an_integer_option_past_the_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["unrank", "--family", "cantor-f", "--rank", "1" * (_DIGIT_LIMIT + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --rank: invalid integer value: '111" in err
+        assert "_integer_option" not in err
 
 
 class TestBoundedMemory:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,8 +10,7 @@ from sectorpack import (OutsideSectorError, QuadPoly, SectorPackError,
                         cantor, divides, enumerate_sector, parse_family,
                         psi_map, quasi_h, steep)
 
-from family_zoo import (all_families, divides_pairs, order_for_family,
-                        sector_points)
+from family_zoo import all_families, divides_pairs, sector_points
 
 
 class TestConstructors:
@@ -153,7 +153,7 @@ class TestUnrank:
 
     def test_agrees_with_enumeration_oracle(self):
         for family in all_families(10):
-            order = order_for_family(family)
+            order = family.order
             for n, p in enumerate(enumerate_sector(family.sector, order, 5000)):
                 assert family.unrank(n) == p
                 assert family.rank(p) == n
@@ -164,7 +164,7 @@ class TestWalk:
         for family in all_families(10):
             walked = list(itertools.islice(family.walk(), 2000))
             assert walked == [family.unrank(n) for n in range(2000)], family.name
-            order = order_for_family(family)
+            order = family.order
             assert walked == enumerate_sector(family.sector, order, 2000), family.name
 
     def test_agrees_with_unrank_deep_into_the_walk(self):
@@ -180,17 +180,17 @@ class TestWalk:
 
 def _block_point(family, ell, a, offset):
     """Offset `offset` of block a in residue class ell, as the block model places it."""
-    r = family.sector.slope.r
-    c = r * ell // family.period + 1
-    j = r * a + c - 1 - offset if family.top_down else offset
-    return (family.period * a + ell + family.d * j, j)
+    r, d, period, top_down, _ = family._model
+    c = r * ell // period + 1
+    j = r * a + c - 1 - offset if top_down else offset
+    return (period * a + ell + d * j, j)
 
 
 def _block_rank(family, ell, a, offset):
     """Ranks before block a of class ell, plus the offset, interleaved by period."""
-    r = family.sector.slope.r
-    c = r * ell // family.period + 1
-    return family.period * (r * a * (a - 1) // 2 + c * a + offset) + ell
+    r, _, period, _, _ = family._model
+    c = r * ell // period + 1
+    return period * (r * a * (a - 1) // 2 + c * a + offset) + ell
 
 
 class TestBlockModel:
@@ -217,8 +217,8 @@ class TestBlockModel:
         # every sector point lies in exactly one block; with the form test
         # above, rank(unrank(n)) is a bijection onto the sector for all n.
         for family in all_families(10):
-            r, s = family.sector.slope.r, family.sector.slope.s
-            d, period = family.d, family.period
+            r, d, period, _, _ = family._model
+            s = family.sector.slope.s
             assert (s - r * d == 1 and period == 1) or (d == 0 and period == s), family.name
 
     def test_unrank_at_block_boundaries(self):
@@ -226,11 +226,12 @@ class TestBlockModel:
         rng = random.Random(3)
         blocks = [0, 1, 2, 10**6, 10**40 + 3] + [rng.randrange(10**60) for _ in range(5)]
         for family in all_families(10):
-            for ell in range(family.period):
+            period = family._model[2]
+            for ell in range(period):
                 for a in blocks:
                     start = _block_rank(family, ell, a, 0)
                     assert family.unrank(start) == _block_point(family, ell, a, 0), family.name
-                    for n in (start - family.period, start, start + family.period):
+                    for n in (start - period, start, start + period):
                         if n >= 0:
                             assert family.rank(family.unrank(n)) == n, (family.name, n)
 
@@ -276,6 +277,18 @@ class TestFamilyNames:
     ])
     def test_parse_round_trip(self, name):
         assert parse_family(name).name == name
+
+    def test_every_family_parses_from_its_name_and_pickles(self):
+        points = [(0, 0), (1, 0), (3, 1), (7, 2), (12, 5), (30, 9)]
+        for family in all_families(10):
+            assert parse_family(family.name) == family, family.name
+            fresh = pickle.loads(pickle.dumps(family))  # before its model is cached
+            inside = [p for p in points if family.sector.contains(p)]
+            ranks = [family.rank(p) for p in inside]
+            for copy in (fresh, pickle.loads(pickle.dumps(family))):
+                assert copy == family, family.name
+                assert [copy.rank(p) for p in inside] == ranks, family.name
+                assert [copy.unrank(n) for n in ranks] == inside, family.name
 
     @pytest.mark.parametrize("name", [
         "cantor", "cantor-f:1", "steep-f", "steep-f:0", "steep-f:x",

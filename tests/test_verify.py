@@ -15,7 +15,7 @@ from sectorpack import (OrderKind, PackingVerdict, QuadPoly, QuasiPoly, Sector,
                         linear_impossibility_check, parse_slope,
                         search_quadratic, steep, verify, verify_packing)
 
-from family_zoo import all_families, order_for_family
+from family_zoo import all_families
 
 I1 = Sector(Slope(1, 1))
 QUADRANT = Sector(Slope.infinite())
@@ -56,18 +56,62 @@ class TestEnumerate:
         # pairwise-distinct points, all inside the sector, and for block
         # orders a nondecreasing block index
         for family in all_families(6):
-            order = order_for_family(family)
+            order = family.order
             points = enumerate_sector(family.sector, order, 800)
             assert len(set(points)) == 800
             assert all(family.sector.contains(p) for p in points)
             if order.value.startswith("block"):
-                d = family.d
+                d = (family.sector.slope.s - 1) // family.sector.slope.r
                 indices = [x - d * y for x, y in points]
                 assert all(a <= b for a, b in zip(indices, indices[1:]))
 
     def test_block_top_down_order(self):
         assert enumerate_sector(Sector(Slope(2, 3)), OrderKind.BLOCK_TOP_DOWN, 4) == \
             [(0, 0), (3, 2), (2, 1), (1, 0)]
+
+
+def _walks(slope, order):
+    """(d, top_down, walks) for an order the slope admits, else None: each walk
+    is a _lines call with its first line K and its step."""
+    r, s = slope.r, slope.s
+    diagonal = order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL)
+    if diagonal != slope.is_infinite:
+        return None
+    if order is OrderKind.RESIDUE_INTERLEAVED:
+        return 0, False, [(ell, s) for ell in range(s)]
+    if order.value.startswith("block"):
+        if (s - 1) % r:
+            return None
+        return (s - 1) // r, order.top_down, [(0, 1)]
+    return (-1 if diagonal else 0), order.top_down, [(0, 1)]
+
+
+class TestLineWalker:
+    SLOPES = ["inf", "1", "3", "2/3", "3/2", "1/4", "3/7"]
+
+    @pytest.mark.parametrize("text", SLOPES)
+    @pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
+    def test_each_line_ends_where_the_sector_does(self, text, order):
+        # line K of the walker runs from (K, 0) to the last sector point along
+        # x - d*y = K: that point is in the sector and the next one is not
+        sector = Sector(parse_slope(text))
+        walks = _walks(sector.slope, order)
+        if walks is None:
+            with pytest.raises(SectorPackError):
+                enumerate_sector(sector, order, 1)
+            return
+        d, top_down, starts = walks
+        for start, step in starts:
+            lines = itertools.groupby(verify._lines(sector, d, top_down, start, step),
+                                      key=lambda p: p[0] - d * p[1])
+            for k, (key, line) in zip(range(start, start + 200 * step, step), lines):
+                ys = [y for _, y in line]
+                top = max(ys)
+                assert key == k
+                assert ys == (list(range(top, -1, -1)) if top_down else list(range(top + 1)))
+                assert (k, 0) in sector
+                assert (k + d * top, top) in sector
+                assert (k + d * (top + 1), top + 1) not in sector, (text, order, k)
 
 
 class TestVerifyPacking:
