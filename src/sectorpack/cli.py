@@ -9,6 +9,9 @@ Results go to stdout (or --out FILE); search progress goes to stderr.
 Output streams.  `layout` and `enumerate` make their rows lazily, from the
 family's rank-order walk and from the order iterator, and main writes them
 in batches, so their memory does not grow with --count (json included).
+A coordinate too long to print (past Python's digit limit) ends the stream
+with the error line of an argument that long and status 1; rows of earlier
+batches may be out by then on stdout, but an --out file is removed.
 `verify` and `search` must hold their examined region, max(4, 2s) * prefix
 points for slope r/s, so a prefix whose region exceeds _REGION_LIMIT points
 is refused before any of it is built.
@@ -24,7 +27,8 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .core import OrderKind, Sector, SectorPackError, _is_ascii_number, _to_int, parse_slope
+from .core import (OrderKind, Point, Sector, SectorPackError, _is_ascii_number, _to_int,
+                   _too_many_digits, parse_slope)
 from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
@@ -150,6 +154,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(abs(n))), without the conversion that the digit limit refuses."""
+    n = abs(n)
+    # a lower bound to start from, as log10(2) > 0.30102
+    digits = max(1, (n.bit_length() - 1) * 30102 // 100000 + 1)
+    while n >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+def _unprintable(x: int, y: int) -> SectorPackError:
+    """The error for a point with a coordinate too long to print: the error
+    that an argument that long gives."""
+    limit = sys.get_int_max_str_digits()
+    return _too_many_digits(next(digits for digits in map(_decimal_digits, (x, y))
+                                 if digits > limit))
+
+
+# The rows of a stream, one per point (x, y) or numbered point (n, (x, y)),
+# made lazily.  Each format has its own literal f-string, the fastest way to
+# format a row, in its own loop.
+
+def _csv_rows(rows: Iterable[tuple[int, Point]]) -> Iterator[str]:
+    for n, (x, y) in rows:
+        try:
+            piece = f"\n{n},{x},{y}"
+        except ValueError:
+            raise _unprintable(x, y) from None
+        yield piece
+
+
+def _text_points(points: Iterable[Point]) -> Iterator[str]:
+    for x, y in points:
+        try:
+            piece = f"{x},{y}"
+        except ValueError:
+            raise _unprintable(x, y) from None
+        yield piece
+
+
+def _json_cells(rows: Iterable[tuple[int, Point]]) -> Iterator[str]:
+    for n, (x, y) in rows:
+        try:
+            piece = f"[{n}, {x}, {y}]"
+        except ValueError:
+            raise _unprintable(x, y) from None
+        yield piece
+
+
+def _json_points(points: Iterable[Point]) -> Iterator[str]:
+    for x, y in points:
+        try:
+            piece = f"[{x}, {y}]"
+        except ValueError:
+            raise _unprintable(x, y) from None
+        yield piece
+
+
 def _joined(sep: str, items: Iterable[str]) -> Iterator[str]:
     """The pieces of sep.join(items), made one item at a time."""
     items = iter(items)
@@ -197,10 +259,10 @@ def _cmd_enumerate(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
     points = iter_sector(sector, _order_for(args.order), args.count)
     if args.format == "json":
-        return _json_list("points", (f"[{x}, {y}]" for x, y in points)), 0
+        return _json_list("points", _json_points(points)), 0
     if args.format == "csv":
-        return chain(("rank,x,y",), (f"\n{n},{x},{y}" for n, (x, y) in enumerate(points))), 0
-    return _joined("\n", (f"{x},{y}" for x, y in points)), 0
+        return chain(("rank,x,y",), _csv_rows(enumerate(points))), 0
+    return _joined("\n", _text_points(points)), 0
 
 
 def _cmd_verify(args) -> tuple[Iterable[str], int]:
@@ -271,8 +333,8 @@ def _cmd_layout(args) -> tuple[Iterable[str], int]:
     # rank is a bijection onto N0, so cell k of a dense layout holds the walk's k-th point
     rows = zip(range(args.count), family.walk())
     if args.format == "json":
-        return _json_list("cells", (f"[{o}, {x}, {y}]" for o, (x, y) in rows)), 0
-    return chain(("offset,x,y",), (f"\n{o},{x},{y}" for o, (x, y) in rows)), 0
+        return _json_list("cells", _json_cells(rows)), 0
+    return chain(("offset,x,y",), _csv_rows(rows)), 0
 
 
 _COMMANDS = {
@@ -298,16 +360,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         pieces, status = _COMMANDS[args.command](args)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    _write(pieces, handle)
+            except SectorPackError:
+                os.remove(args.out)  # a stream that ends in an error leaves no part behind
+                raise
+            return status
+        _write(pieces, sys.stdout)
+        sys.stdout.flush()
     except SectorPackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _write(pieces, handle)
-        return status
-    try:
-        _write(pieces, sys.stdout)
-        sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (say, `| head`): stop quietly, and point stdout
         # at devnull so that the interpreter's final flush does not fail again

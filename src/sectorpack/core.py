@@ -100,13 +100,18 @@ def _is_ascii_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _too_many_digits(digits: int) -> SectorPackError:
+    """The error for an integer of this many digits, past Python's digit limit."""
+    return SectorPackError(f"integer of {digits} digits exceeds the limit "
+                           f"of {sys.get_int_max_str_digits()} digits")
+
+
 def _to_int(token: str) -> int:
     """int(token) for checked digits; past Python's digit limit, a SectorPackError."""
     try:
         return int(token)
     except ValueError:
-        raise SectorPackError(f"integer of {len(token.lstrip('-'))} digits exceeds the limit "
-                              f"of {sys.get_int_max_str_digits()} digits") from None
+        raise _too_many_digits(len(token.lstrip("-"))) from None
 
 
 def parse_slope(text: str) -> Slope:

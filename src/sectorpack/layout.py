@@ -10,7 +10,9 @@ rank order (PackingFamily.walk) instead of unranking each offset.
 
 from __future__ import annotations
 
+import operator
 import sys
+from itertools import islice, repeat
 from typing import Any, Callable, Iterator
 
 from .core import Point, SectorPackError
@@ -48,6 +50,7 @@ class SectorArray:
         self.family = family
         self._cells: list[Any] = []
         self._population = 0
+        self._end = 0  # one past the highest occupied offset
 
     @property
     def population(self) -> int:
@@ -78,6 +81,7 @@ class SectorArray:
         cells[offset] = value
         if previous is _EMPTY:
             self._population += 1
+            self._end = max(self._end, offset + 1)
             return None
         return previous
 
@@ -93,21 +97,33 @@ class SectorArray:
     def iterate(self) -> Iterator[tuple[Point, Any]]:
         """Occupied cells in offset order, each with its point from the family's walk.
 
-        The walk advances past empty cells too, so this costs one step per
-        cell of storage, occupied or not.
+        The walk stops at the highest occupied cell.  When every cell below
+        it is occupied, the pairs come from a C-level zip; otherwise the walk
+        also steps past the empty cells, one step per cell.
         """
-        # cells first: zip stops at the buffer's end without stepping the walk
-        for value, p in zip(self._cells, self.family.walk()):
-            if value is not _EMPTY:
-                yield p, value
+        cells, end = self._cells, self._end
+        walk = islice(self.family.walk(), end)
+        if self._population == end:
+            return zip(walk, cells)
+        # cells first: zip stops at the mark without stepping the walk again
+        return ((p, value) for value, p in zip(islice(cells, end), walk) if value is not _EMPTY)
 
     def dense_prefix_fill(self, n: int, generator: Callable[[Point], Any]) -> None:
         """Fill the cells of ranks 0..n-1 with generator(p), walking the points
-        in rank order; the packing property makes this gap-free."""
+        in rank order; the packing property makes this gap-free.
+
+        Every value is made before any cell is written, so a generator that
+        raises leaves the array as it was, its storage length included.
+        """
         check_fill_count(n)
-        self._grow_to(n - 1)  # a point's rank is its offset, so none is ranked again
         cells = self._cells
-        for rank, p in zip(range(n), self.family.walk()):
-            if cells[rank] is _EMPTY:
-                self._population += 1
-            cells[rank] = generator(p)
+        length = len(cells)
+        self._grow_to(n - 1)  # first, so that a count past memory fails before any call
+        try:
+            values = list(map(generator, islice(self.family.walk(), n)))
+        except BaseException:
+            del cells[length:]
+            raise
+        self._population += sum(map(operator.is_, islice(cells, n), repeat(_EMPTY)))
+        cells[:n] = values
+        self._end = max(self._end, n)

@@ -226,8 +226,11 @@ def serialize(f: PolyLike) -> str:
 def deserialize(text: str) -> PolyLike:
     """Inverse of serialize; strict about keys, rational syntax, and branch counts."""
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past the digit limit
+        # an integer past the digit limit fails in _to_int, as an argument does
+        obj = json.loads(text, parse_int=_to_int)
+    except SectorPackError:
+        raise
+    except ValueError as exc:
         raise PolySyntaxError(f"invalid polynomial JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise PolySyntaxError("polynomial JSON must be an object")

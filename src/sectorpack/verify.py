@@ -13,11 +13,15 @@ order interleaves s such column walks, one per class of x mod s.
 sector: values must be nonnegative integers, pairwise distinct, and cover
 {0..prefix-1}.  The examined region holds a slope-dependent multiple of
 `prefix` points so that every preimage of a small value is actually looked
-at.  A column at a time decides pass or fail: on column x a branch is a
-quadratic in y, so its values are a running sum built by `accumulate`, with
-no product per point, and a set of values checks distinctness by its size.
-Only a failure walks the points, and only up to the failing column, to name
-the first witness in column order.
+at.  Two exact passes decide pass or fail.  On column x a branch is a
+quadratic in y, so a Python pass with O(1) work per column finds the first
+column holding a non-integer, a negative value or two equal values.  If no
+column does, a numpy pass writes the region's values into one array, int64
+where a bound proves every step exact and Python ints otherwise, and sorts
+it once: equal neighbours are a repeat across columns, and the sorted
+values show at a glance whether {0..prefix-1} occurs.  Only a failure walks
+the points, and only up to the failing column, to name the first witness in
+column order.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
 through a funnel of exact int32/int64 screens, with no floating point, and
@@ -85,6 +89,7 @@ from .poly import PolyLike, QuadPoly, _quad_to_object
 # effective margin is max(_COVERAGE_MARGIN, 2s) for slope denominator s, see
 # _examined_region.
 _COVERAGE_MARGIN = 4
+_BLOCK_POINTS = 1 << 15  # values made at a time by _column_values, unless a column is longer
 
 
 def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
@@ -188,37 +193,98 @@ def _examined_region(sector: Sector, prefix: int) -> tuple[int, ...]:
     return tuple(tops)
 
 
-def _scan_columns(forms: list, tops: tuple[int, ...]) -> tuple[int | None, set[int]]:
-    """The first column holding a non-integer, negative or repeated value
-    (None if there is none), and the values of the columns before it.
+def _first_bad_column(forms: list, tops: tuple[int, ...]) -> int | None:
+    """The first column holding a non-integer, negative or repeated value,
+    with O(1) work per column; None if there is none.  Repeats between
+    columns are left to _column_values.
 
     On column x the numerator is a*x^2 + d*x + g at y = 0, and steps up by
     b*x + c + e + 2*c*y from y to y + 1.  So every value of the column is an
     integer iff den divides the first value, the first step (when the column
-    has two points) and the second difference 2*c (when it has three).
+    has two points) and the second difference 2*c (when it has three).  Then
+    the value at y is v(y) = first + rise*y + step*y*(y-1)/2 in integers.
+    Its least value lies at y = 0, at y = top or, when step > 0, where the
+    rises turn, y = ceil(-rise/step).  And v(y2) - v(y1) = (y2 - y1) *
+    (rise + step*(y1 + y2 - 1)/2), so two values are equal iff y1 + y2 =
+    1 - 2*rise/step for some 0 <= y1 < y2 <= top, or rise = 0 when step = 0.
+    A column with top < 2 leaves step (and with top = 0, rise) unchecked,
+    but v(0) and v(1) do not read it, and the repeat test then asks for
+    rise = 0 when top = 1 and for nothing when top = 0.
     """
     period = len(forms)
-    seen: set[int] = set()
     for x, top in enumerate(tops):
         den, (a, b, c, d, e, g) = forms[x % period]
         first, rise, step = a * x * x + d * x + g, b * x + c + e, 2 * c
         if first % den or (top >= 1 and rise % den) or (top >= 2 and step % den):
-            return x, seen
+            return x
         first, rise, step = first // den, rise // den, step // den
-        rises = range(rise, rise + step * top, step) if step else itertools.repeat(rise, top)
-        column = list(itertools.accumulate(rises, initial=first))
-        if min(column) < 0:
-            return x, seen
-        size = len(seen)
-        seen.update(column)
-        if len(seen) - size < len(column):
-            return x, seen
-    return None, seen
+        least = min(first, first + rise * top + step * (top * (top - 1) // 2))
+        if step > 0:
+            turn = -(rise // step)
+            if 0 < turn < top:
+                least = min(least, first + rise * turn + step * (turn * (turn - 1) // 2))
+        if least < 0:
+            return x
+        if step:
+            twice, odd = divmod(-2 * rise, step)  # y1 + y2 - 1, if it is an integer
+            if not odd and 0 <= twice <= 2 * top - 2:
+                return x
+        elif top >= 1 and not rise:
+            return x
+    return None
+
+
+def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
+    """The values of the region's points in column order, exact: int64 when
+    every numerator, every Horner intermediate and den are proved below 2^63
+    on the region, otherwise Python ints in an object array.  Every value
+    must be an integer (see _first_bad_column).
+
+    Each term of a numerator is at most |its coefficient| * M^2 in size, for
+    M the largest x or y of the region (at least 1), and so is each partial
+    sum of Horner's rule (c*y + b*x + e)*y + x*(a*x + d) + g.  A block of
+    whole columns is evaluated at once on the rectangle of its columns and
+    its highest y, about _BLOCK_POINTS values; its points are then taken in
+    column order into one array.
+    """
+    reach = max(len(tops) - 1, tops[-1], 1)
+    worst = max(max(den, sum(map(abs, coeffs)) * reach * reach) for den, coeffs in forms)
+    dtype = np.int64 if worst < 2 ** 63 else object
+    table = np.array([(den, *coeffs) for den, coeffs in forms], dtype=dtype)
+    column_tops = np.array(tops, dtype=np.int64)
+    values = np.empty(sum(tops) + len(tops), dtype=dtype)
+    span = max(1, _BLOCK_POINTS // (tops[-1] + 1))  # columns per block
+    done = 0
+    for x0 in range(0, len(tops), span):
+        xs = np.arange(x0, min(x0 + span, len(tops)))
+        den, a, b, c, d, e, g = table[xs % len(forms)].T[:, :, None]
+        xs = xs.astype(dtype)[:, None]
+        ys = np.arange(tops[x0 + len(xs) - 1] + 1, dtype=dtype)
+        num = c * ys
+        num += b * xs + e
+        num *= ys
+        num += xs * (a * xs + d) + g
+        num //= den
+        num = num[ys <= column_tops[x0:x0 + len(xs), None]]  # (x, y) by x, then y
+        values[done:done + len(num)] = num
+        done += len(num)
+    return values
+
+
+def _first_repeat_column(forms: list, tops: tuple[int, ...]) -> int:
+    """The column of the first value, in column order, that equals one
+    before it; the region's values must be integers with a repeat."""
+    values = _column_values(forms, tops)
+    order = np.argsort(values, kind="stable")  # equal values stay in column order
+    values = values[order]
+    repeats = order[1:][values[1:] == values[:-1]]  # each a later copy of a value
+    ends = np.cumsum(np.array(tops, dtype=np.int64) + 1)
+    return int(np.searchsorted(ends, repeats.min(), side="right"))
 
 
 def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
     """The first failure and its witness, walking the region point by point
-    in column order; the region must hold a failure (see _scan_columns)."""
+    in column order; the region must hold a failure."""
     period = len(forms)
     seen: dict[int, Point] = {}
     for x, top in enumerate(tops):
@@ -233,7 +299,7 @@ def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
             if value in seen:
                 return "collision", (seen[value], (x, y))
             seen[value] = (x, y)
-    raise AssertionError("the column scan failed a region the point walk passes")
+    raise AssertionError("the column checks failed a region the point walk passes")
 
 
 def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
@@ -241,23 +307,35 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
 
     Pass iff on the examined region (see _examined_region): all values are
     nonnegative integers, pairwise distinct, and {0..prefix-1} all occur.
-    The region is scanned a column at a time (see _scan_columns), which stops
-    at the first failing column; the points up to it are then walked to name
-    the first witness in column order.  A missing value needs no walk.
+    Two exact passes decide.  The first (_first_bad_column) stops at the
+    first column with a non-integer, negative or repeated value; the point
+    walk up to that column then names the first witness in column order,
+    which may lie in an earlier column, where a value repeats one before it.
+    If no column fails, the second pass sorts the region's values
+    (_column_values): an equal adjacent pair is a repeat, and a stable
+    argsort finds the column of the earliest one for the walk.  Otherwise
+    the values are distinct nonnegative integers, so {0..prefix-1} occurs
+    iff the sorted value at prefix-1 is prefix-1, and the first i whose
+    sorted value is not i is the least missing value.
     """
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
     forms = [branch.scaled_integer_form() for branch in f.branches]
     tops = _examined_region(sector, prefix)
     bound, examined = len(tops) - 1, sum(tops) + len(tops)
-    failing, seen = _scan_columns(forms, tops)
-    if failing is not None:
-        reason, witness = _walk_points(forms, tops[:failing + 1])
-        return PackingVerdict(False, reason, witness, bound, examined)
-    if not seen.issuperset(range(prefix)):
-        missing = next(v for v in range(prefix) if v not in seen)
-        return PackingVerdict(False, "missing", (missing,), bound, examined)
-    return PackingVerdict(True, None, None, bound, examined)
+    failing = _first_bad_column(forms, tops)
+    if failing is None:
+        values = _column_values(forms, tops)
+        values.sort()
+        if not (values[1:] == values[:-1]).any():
+            if values[prefix - 1] == prefix - 1:
+                return PackingVerdict(True, None, None, bound, examined)
+            missing = int(np.flatnonzero(values[:prefix] != np.arange(prefix))[0])
+            return PackingVerdict(False, "missing", (missing,), bound, examined)
+        del values  # freed before the walk, which holds its own values
+        failing = _first_repeat_column(forms, tops)
+    reason, witness = _walk_points(forms, tops[:failing + 1])
+    return PackingVerdict(False, reason, witness, bound, examined)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sectorpack
-from sectorpack.cli import build_parser, main, parse_map, parse_point
+from sectorpack.cli import _decimal_digits, build_parser, main, parse_map, parse_point
 from sectorpack import (OrderKind, Sector, SectorArray, SectorPackError, enumerate_sector,
                         lambda_map, parse_slope)
 
@@ -384,10 +384,40 @@ class TestDigitLimit:
         assert not target.exists()
 
     def test_a_json_integer_past_the_limit_is_a_domain_error(self, capsys):
-        status, out, err = run(capsys, "verify", "--poly",
-                               '{"period": %s}' % ("1" * (_DIGIT_LIMIT + 1)), "--slope", "1")
-        assert (status, out) == (1, "")
-        assert err.startswith("error: invalid polynomial JSON: ") and err.count("\n") == 1
+        # the line every other argument gives, not the interpreter's own text
+        long = "1" * (_DIGIT_LIMIT + 700)
+        message = (f"error: integer of {_DIGIT_LIMIT + 700} digits exceeds the limit of "
+                   f"{_DIGIT_LIMIT} digits\n")
+        for poly in ('{"period": %s}', '{"x2": %s}', '{"period": 1, "branches": [{"y": -%s}]}'):
+            assert run(capsys, "verify", "--poly", poly % long, "--slope", "1") == (1, "", message)
+
+    def test_decimal_digits_of_an_integer_too_long_to_print(self):
+        for k in [1, 2, 3, 9, 10, 11, 99, 100, 1000, _DIGIT_LIMIT - 1, _DIGIT_LIMIT,
+                  _DIGIT_LIMIT + 1, 3 * _DIGIT_LIMIT]:
+            for n in (10 ** (k - 1), 10 ** k - 1, 7 * 10 ** (k - 1)):
+                assert _decimal_digits(n) == _decimal_digits(-n) == k, k
+        assert [_decimal_digits(n) for n in range(-12, 13)] == \
+            [len(str(abs(n))) for n in range(-12, 13)]
+
+    # on slope 1/(10^L - 1) the block step is d = 10^L - 2: the 3rd point is
+    # (1 + d, 1), of L digits, and the 5th (2 + d, 1), of L + 1
+    @pytest.mark.parametrize("argv", [
+        ["layout", "--family", "div-f:1/{nines}", "--format", fmt] for fmt in ("csv", "json")
+    ] + [
+        ["enumerate", "--slope", "1/{nines}", "--order", "block-bottom-up", "--format", fmt]
+        for fmt in ("text", "csv", "json")
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_a_coordinate_past_the_limit_ends_the_stream(self, capsys, tmp_path, argv):
+        nines = "9" * _DIGIT_LIMIT
+        argv = [arg.format(nines=nines) for arg in argv]
+        status, out, err = run(capsys, *argv, "--count", "4")
+        assert (status, err) == (0, "") and nines in out
+        target = tmp_path / "result.txt"
+        for extra in ([], ["--out", str(target)]):
+            assert run(capsys, *argv, "--count", "5", *extra) == (1, "", (
+                f"error: integer of {_DIGIT_LIMIT + 1} digits exceeds the limit of "
+                f"{_DIGIT_LIMIT} digits\n"))
+        assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("argv", [
@@ -418,7 +448,9 @@ class TestBoundedMemory:
 
     LIMIT = 512 * 2 ** 20
 
-    def spawn(self, *argv):
+    def spawn(self, *argv, code=None):
+        """sector-pack argv in a child; with code, the child runs that instead
+        of the module, with argv in sys.argv[1:]."""
         resource = pytest.importorskip("resource")
 
         def cap_address_space():
@@ -427,7 +459,8 @@ class TestBoundedMemory:
         src = os.path.dirname(os.path.dirname(sectorpack.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.Popen([sys.executable, "-m", "sectorpack.cli", *argv], env=env,
+        head = ["-m", "sectorpack.cli"] if code is None else ["-c", code]
+        return subprocess.Popen([sys.executable, *head, *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 preexec_fn=cap_address_space)
 
@@ -457,6 +490,25 @@ class TestBoundedMemory:
         assert child.returncode == 0, err
         assert err.splitlines()[-1] == "search: 45/45 chunks"
         assert json.loads(out)["survivors"] == [{"x2": "1/2", "xy": "-2", "y2": "2", "x": "1/2"}]
+
+    @pytest.mark.parametrize("family, examined", [("cantor-f", "1000000 points, columns 0..999"),
+                                                  ("quasi:3/2", "1000519 points, columns 0..1154")],
+                             ids=["cantor-f", "quasi:3/2"])
+    def test_verify_at_the_region_limit_peaks_under_50_mib(self, family, examined):
+        # the sorted values of a million points take 8 MB, and a block of them
+        # is made at a time.  ru_maxrss survives exec, and a child forked from
+        # this process starts at its size, so a small interpreter runs the
+        # command and reports the peak of its own child.
+        code = ("import resource, subprocess, sys\n"
+                "argv = [sys.executable, '-m', 'sectorpack.cli', *sys.argv[1:]]\n"
+                "status = subprocess.call(argv)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+                "sys.exit(status)\n")
+        child = self.spawn("verify", "--family", family, "--prefix", "250000", code=code)
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, out) == (0, f"PASS pass ({examined})\n"), err
+        peak = int(err) * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, else KiB
+        assert peak < 50 * 2 ** 20
 
     def test_linear_search_at_a_high_bound(self):
         # the screens hold five monomial rows of the region whatever the bound

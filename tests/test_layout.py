@@ -120,6 +120,26 @@ class TestIterate:
         assert arr.population == len(stored)
 
 
+    @pytest.mark.parametrize("ranks", [[0, 1, 2], [0, 2, 5], [5]], ids=["dense", "gaps", "one"])
+    def test_walk_stops_at_the_highest_occupied_cell(self, ranks):
+        family = quasi_h(3, 2)
+        arr = SectorArray(family)
+        for n in ranks:
+            arr.put(family.unrank(n), n)
+        assert arr.storage_length > max(ranks) + 1
+        steps = []
+
+        class Counted:
+            """The family, with a walk that records each point it hands out."""
+
+            def walk(self):
+                return (steps.append(p) or p for p in family.walk())
+
+        arr.family = Counted()
+        assert list(arr.iterate()) == [(family.unrank(n), n) for n in ranks]
+        assert len(steps) == max(ranks) + 1
+
+
 class TestDensePrefixFill:
     def test_zero_is_noop(self):
         arr = SectorArray(steep("F", 2))
@@ -144,6 +164,32 @@ class TestDensePrefixFill:
         arr = SectorArray(steep("F", 1))
         arr.dense_prefix_fill(1000, lambda p: None)
         assert arr.storage_length == 1024
+
+    def test_fill_over_occupied_cells_counts_only_the_empty_ones(self):
+        family = divides("G", 1, 4)
+        arr = SectorArray(family)
+        for n in (2, 7, 40):
+            arr.put(family.unrank(n), "old")
+        arr.dense_prefix_fill(10, lambda p: p)
+        assert arr.population == 11
+        assert list(arr.iterate()) == [(family.unrank(n), family.unrank(n)) for n in range(10)] \
+            + [(family.unrank(40), "old")]
+
+    def test_raising_generator_leaves_the_array_unchanged(self):
+        family = quasi_h(3, 2)
+        arr = SectorArray(family)
+        arr.dense_prefix_fill(5, lambda p: "first")
+        arr.put(family.unrank(9), "ninth")
+        before = (arr.population, arr.storage_length, list(arr.iterate()))
+
+        def generator(p):
+            if family.rank(p) == 50:
+                raise RuntimeError("no value")
+            return "second"
+
+        with pytest.raises(RuntimeError, match="no value"):
+            arr.dense_prefix_fill(100, generator)
+        assert (arr.population, arr.storage_length, list(arr.iterate())) == before
 
     def test_negative_count_rejected(self):
         with pytest.raises(SectorPackError):

@@ -224,9 +224,61 @@ class TestColumnScan:
     @example(QuadPoly(_HALF, 0, 0, _HALF, 3 * _HALF, 0), Slope(1, 1), 20)
     @example(QuadPoly(_HALF, 0, _QUARTER, _HALF, 3 * _QUARTER, 0), Slope(1, 1), 20)
     @example(QuadPoly(_HALF, 0, 0, _HALF, 1, -1), Slope(1, 1), 20)
+    # the region of slope 3 at prefix 1 is (0, 0) and column 1, y = 0..3; there
+    # y^2 - 2y + 1 repeats at y = 0 and 2 (step 2), x + 5 is 6 all along (step
+    # 0), and 2y^2 - 7y + 5 is 5, 0, -1, 2: negative only where the rises
+    # turn, so only the column pass can see it
+    @example(QuadPoly(c02=1, c01=-2, c10=-1, c00=2), Slope(3, 1), 1)
+    @example(QuadPoly(c10=1, c00=5), Slope(3, 1), 1)
+    @example(QuadPoly(c02=2, c01=-7, c10=2, c00=3), Slope(3, 1), 1)
+    # x + y has no repeat inside a column: the sort finds (1, 1) and (2, 0)
+    @example(QuadPoly(c10=1, c01=1), Slope(1, 1), 20)
     def test_matches_point_walk(self, f, slope, prefix):
         sector = Sector(slope)
         assert verify_packing(f, sector, prefix) == _walk_verdict(f, sector, prefix)
+
+    def test_branches_with_different_denominators(self):
+        # integer-valued on their own columns only: x = 1 mod 3 and x = 2 mod 3
+        f = steep("F", 1).form
+        third = QuasiPoly(3, [f, f + QuadPoly(c10=Fraction(1, 3), c00=Fraction(-1, 3)),
+                              f + QuadPoly(c20=Fraction(1, 6), c10=Fraction(-7, 6),
+                                           c00=Fraction(5, 3))])
+        assert [b.scaled_integer_form()[0] for b in third.branches] == [2, 6, 3]
+        verdicts = []
+        for shift in (0, 1, _HALF):
+            g = QuasiPoly(3, [b + QuadPoly.constant(shift) for b in third.branches])
+            for prefix in (1, 7, 60):
+                verdicts.append(verify_packing(g, I1, prefix))
+                assert verdicts[-1] == _walk_verdict(g, I1, prefix), (shift, prefix)
+        assert {v.reason for v in verdicts} == {None, "collision", "missing", "non-integer"}
+
+    def test_int64_and_object_values_agree_with_the_walk(self, monkeypatch):
+        # numerators near 2^63 on the region: the values are int64 only under
+        # the bound, Python ints past it, and exact either way
+        column_values = verify._column_values
+        dtypes = set()
+
+        def spy(forms, tops):
+            values = column_values(forms, tops)
+            dtypes.add(values.dtype)
+            exact = [(a * x * x + b * x * y + c * y * y + d * x + e * y + g) // den
+                     for x, top in enumerate(tops) for y in range(top + 1)
+                     for den, (a, b, c, d, e, g) in [forms[x % len(forms)]]]
+            assert values.tolist() == exact
+            return values
+
+        monkeypatch.setattr(verify, "_column_values", spy)
+        f = steep("F", 1).form
+        for k in (2 ** 62 - 1, 2 ** 63 - 5, 2 ** 63, 2 ** 64):
+            candidates = [f + QuadPoly.constant(k), f.scale(k // 64),
+                          f.scale(k // 1024) + QuadPoly.constant(k // 2),
+                          QuadPoly(c10=k // 64, c01=k // 64),
+                          QuasiPoly(2, [f.scale(k // 256), f.scale(k // 128)])]
+            for candidate in candidates:
+                for prefix in (1, 7, 60):
+                    assert verify_packing(candidate, I1, prefix) == \
+                        _walk_verdict(candidate, I1, prefix), (k, candidate, prefix)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
     def test_matches_point_walk_on_shifted_families(self):
         # near-packings: each verdict kind but "collision" shows here
