@@ -39,7 +39,9 @@ _HEADS = {OrderKind.DIAGONAL: "cantor-f", OrderKind.REVERSE_DIAGONAL: "cantor-g"
           OrderKind.BLOCK_BOTTOM_UP: "div-f", OrderKind.BLOCK_TOP_DOWN: "div-g",
           OrderKind.RESIDUE_INTERLEAVED: "quasi"}
 _ORDERS = {head: order for order, head in _HEADS.items()}
+_DIAGONALS = (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL)
 _COLUMNS = (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN)
+_BLOCKS = (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN)
 
 _X = QuadPoly.x()
 _Y = QuadPoly.y()
@@ -48,10 +50,26 @@ _ONE = QuadPoly.constant(1)
 
 @dataclass(frozen=True)
 class PackingFamily:
-    """A verified packing function: the order that counts a sector's points."""
+    """A verified packing function: the order that counts a sector's points.
+
+    The constructor refuses an order on a sector it does not pack: the
+    diagonals pack the quadrant, the columns an integer slope, the blocks r/s
+    with r < s and r | s-1, and the residue interleave any finite slope."""
 
     order: OrderKind
     sector: Sector
+
+    def __post_init__(self):
+        slope = self.sector.slope
+        if slope.is_infinite != (self.order in _DIAGONALS) or (
+                self.order in _COLUMNS and slope.s != 1):
+            raise SectorPackError(f"{self.order.value} does not pack the sector of slope {slope}")
+        if self.order in _BLOCKS:
+            r, s = slope.r, slope.s
+            if not r < s:
+                raise SectorPackError(f"need r < s, got ({r}, {s})")
+            if (s - 1) % r != 0:
+                raise SectorPackError(f"{r} does not divide {s} - 1")
 
     @property
     def name(self) -> str:
@@ -149,11 +167,11 @@ class PackingFamily:
             yield zip(xs, ys)
 
 
-def _variant_order(variant: str, f_order: OrderKind, g_order: OrderKind) -> OrderKind:
-    """The F variant's order or the G variant's, by the variant's letter."""
+def _variant_order(variant: str, orders: tuple[OrderKind, OrderKind]) -> OrderKind:
+    """The F variant's order or the G variant's, of (F order, G order)."""
     if variant not in ("F", "G"):
         raise SectorPackError(f'variant must be "F" or "G", got {variant!r}')
-    return f_order if variant == "F" else g_order
+    return orders[variant == "G"]
 
 
 def cantor(variant: str) -> PackingFamily:
@@ -162,8 +180,7 @@ def cantor(variant: str) -> PackingFamily:
     F = ((x+y)^2 + x + 3y)/2 counts each antidiagonal from the x-axis up,
     G = ((x+y)^2 + 3x + y)/2 from the y-axis down.
     """
-    order = _variant_order(variant, OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL)
-    return PackingFamily(order, Sector(Slope.infinite()))
+    return PackingFamily(_variant_order(variant, _DIAGONALS), Sector(Slope.infinite()))
 
 
 def steep(variant: str, r: int) -> PackingFamily:
@@ -172,10 +189,13 @@ def steep(variant: str, r: int) -> PackingFamily:
     F counts each column bottom-up: r*x*(x-1)/2 + x + y.
     G counts each column top-down:  r*x*(x+1)/2 + x - y.
     """
-    order = _variant_order(variant, OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN)
+    return PackingFamily(_variant_order(variant, _COLUMNS), _integer_sector(r))
+
+
+def _integer_sector(r: int) -> Sector:
     if r < 1:
         raise SectorPackError(f"slope must be a positive integer, got {r}")
-    return PackingFamily(order, Sector(Slope(r, 1)))
+    return Sector(Slope(r, 1))
 
 
 def _coprime_sector(r: int, s: int) -> Sector:
@@ -189,13 +209,7 @@ def _coprime_sector(r: int, s: int) -> Sector:
 
 def divides(variant: str, r: int, s: int) -> PackingFamily:
     """Packing polynomials on the slope-r/s sector when r divides s-1, by slanted blocks."""
-    order = _variant_order(variant, OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN)
-    sector = _coprime_sector(r, s)
-    if not r < s:
-        raise SectorPackError(f"need r < s, got ({r}, {s})")
-    if (s - 1) % r != 0:
-        raise SectorPackError(f"{r} does not divide {s} - 1")
-    return PackingFamily(order, sector)
+    return PackingFamily(_variant_order(variant, _BLOCKS), _coprime_sector(r, s))
 
 
 def quasi_h(r: int, s: int) -> PackingFamily:
@@ -215,21 +229,18 @@ def parse_family(name: str) -> PackingFamily:
     """
     head, sep, params = name.partition(":")
     order = _ORDERS.get(head)
-    variant = "G" if order and order.top_down else "F"
-    if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
+    if order in _DIAGONALS:
         if sep:
             raise SectorPackError(f"{head} takes no parameters")
-        return cantor(variant)
+        return PackingFamily(order, Sector(Slope.infinite()))
     if order is None or not sep:
         raise SectorPackError(f"unknown family {name!r}")
     if order in _COLUMNS:
-        return steep(variant, _parse_param_int(params))
+        return PackingFamily(order, _integer_sector(_parse_param_int(params)))
     num, slash, den = params.partition("/")
     r = _parse_param_int(num)
     s = _parse_param_int(den) if slash else 1
-    if order is OrderKind.RESIDUE_INTERLEAVED:
-        return quasi_h(r, s)
-    return divides(variant, r, s)
+    return PackingFamily(order, _coprime_sector(r, s))
 
 
 def _parse_param_int(token: str) -> int:

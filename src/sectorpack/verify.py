@@ -20,8 +20,8 @@ column does, a numpy pass writes the region's values into one array, int64
 where a bound proves every step exact and Python ints otherwise, and sorts
 it once: equal neighbours are a repeat across columns, and the sorted
 values show at a glance whether {0..prefix-1} occurs.  Only a failure walks
-the points, and only up to the failing column, to name the first witness in
-column order.
+the points, up to the failing column or to the repeat the sort saw, to name
+the first witness in column order.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
 through a funnel of exact int32/int64 screens, with no floating point, and
@@ -271,17 +271,6 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def _first_repeat_column(forms: list, tops: tuple[int, ...]) -> int:
-    """The column of the first value, in column order, that equals one
-    before it; the region's values must be integers with a repeat."""
-    values = _column_values(forms, tops)
-    order = np.argsort(values, kind="stable")  # equal values stay in column order
-    values = values[order]
-    repeats = order[1:][values[1:] == values[:-1]]  # each a later copy of a value
-    ends = np.cumsum(np.array(tops, dtype=np.int64) + 1)
-    return int(np.searchsorted(ends, repeats.min(), side="right"))
-
-
 def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
     """The first failure and its witness, walking the region point by point
     in column order; the region must hold a failure."""
@@ -312,8 +301,8 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
     walk up to that column then names the first witness in column order,
     which may lie in an earlier column, where a value repeats one before it.
     If no column fails, the second pass sorts the region's values
-    (_column_values): an equal adjacent pair is a repeat, and a stable
-    argsort finds the column of the earliest one for the walk.  Otherwise
+    (_column_values): an equal adjacent pair is a repeat, and the walk over
+    the whole region stops at the first one in column order.  Otherwise
     the values are distinct nonnegative integers, so {0..prefix-1} occurs
     iff the sorted value at prefix-1 is prefix-1, and the first i whose
     sorted value is not i is the least missing value.
@@ -333,7 +322,7 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
             missing = int(np.flatnonzero(values[:prefix] != np.arange(prefix))[0])
             return PackingVerdict(False, "missing", (missing,), bound, examined)
         del values  # freed before the walk, which holds its own values
-        failing = _first_repeat_column(forms, tops)
+        failing = bound  # the walk stops at the first repeat by itself
     reason, witness = _walk_points(forms, tops[:failing + 1])
     return PackingVerdict(False, reason, witness, bound, examined)
 

@@ -510,6 +510,16 @@ class TestBoundedMemory:
         peak = int(err) * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, else KiB
         assert peak < 50 * 2 ** 20
 
+    def test_verify_finds_a_late_repeat_at_the_region_limit(self):
+        # no column repeats a value, so the sort sees the repeat, in column
+        # 1,334 of 1,414; the point walk that names it holds every value
+        # before it, near 180 MiB, inside the cap
+        child = self.spawn("verify", "--poly", '{"x2":"-1","x":"4000","y":"1"}', "--slope", "1",
+                           "--prefix", "250000")
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 3, err
+        assert out == "FAIL fail: collision at ((1333, 1333), (1334, 0))\n"
+
     def test_linear_search_at_a_high_bound(self):
         # the screens hold five monomial rows of the region whatever the bound
         child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "10",

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorpack import (OutsideSectorError, QuadPoly, SectorPackError,
-                        cantor, divides, enumerate_sector, parse_family,
-                        psi_map, quasi_h, steep)
+from sectorpack import (OrderKind, OutsideSectorError, PackingFamily, QuadPoly, Sector,
+                        SectorPackError, Slope, cantor, divides, enumerate_sector,
+                        parse_family, psi_map, quasi_h, steep, verify_packing)
 
-from family_zoo import all_families, divides_pairs, sector_points
+from family_zoo import all_families, coprime_pairs, divides_pairs, sector_points
 
 
 class TestConstructors:
@@ -51,6 +51,32 @@ class TestConstructors:
     def test_quasi_rejects_non_coprime(self):
         with pytest.raises(SectorPackError):
             quasi_h(2, 4)
+
+    @pytest.mark.parametrize("order,slope", [
+        (OrderKind.BLOCK_BOTTOM_UP, Slope(3, 2)),  # would rank (1, 2), outside, as 3
+        (OrderKind.COLUMN_BOTTOM_UP, Slope(2, 3)),  # would be named steep-f:2
+        (OrderKind.DIAGONAL, Slope(1, 2)),  # would be named cantor-f:1/2
+        (OrderKind.RESIDUE_INTERLEAVED, Slope.infinite()),  # would divide by s = 0
+    ])
+    def test_refuses_an_order_that_does_not_pack_the_sector(self, order, slope):
+        with pytest.raises(SectorPackError):
+            PackingFamily(order, Sector(slope))
+
+    def test_builds_exactly_the_families(self):
+        # every order on every slope up to 6: a pair either builds one of the
+        # factories' families, which parses from its name and verifies, or is
+        # refused with a SectorPackError
+        slopes = [Slope.infinite()] + [Slope(r, s) for r, s in coprime_pairs(6, 6)]
+        built = []
+        for order, slope in itertools.product(OrderKind, slopes):
+            try:
+                family = PackingFamily(order, Sector(slope))
+            except SectorPackError:
+                continue
+            assert parse_family(family.name) == family
+            assert verify_packing(family.form, family.sector, 30).ok, family.name
+            built.append(family)
+        assert set(built) == set(all_families(6))
 
     def test_quasi_values(self):
         fam = quasi_h(3, 2)

@@ -211,31 +211,61 @@ _CANDIDATES = st.one_of(
                               .map(lambda branches: QuasiPoly(m, branches))))
 # slope 1/5 at small prefixes has columns with tops 0 and 1
 _SLOPES = st.sampled_from([Slope.infinite(), Slope(1, 1), Slope(1, 5), Slope(3, 2), Slope(3, 5)])
-# on slope 1, each example fails one condition of the column scan only, and
-# passes it if that condition is dropped: den does not divide the first
-# value, the first step, the second difference; the least value is -1
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
-
-
-class TestColumnScan:
-    @given(_CANDIDATES, _SLOPES, st.integers(1, 60))
-    @example(QuadPoly(_HALF, 0, 0, _HALF, 1, _HALF), Slope(1, 1), 20)
-    @example(QuadPoly(_HALF, 0, 0, _HALF, 3 * _HALF, 0), Slope(1, 1), 20)
-    @example(QuadPoly(_HALF, 0, _QUARTER, _HALF, 3 * _QUARTER, 0), Slope(1, 1), 20)
-    @example(QuadPoly(_HALF, 0, 0, _HALF, 1, -1), Slope(1, 1), 20)
+# (candidate, slope, prefix) cases that TestColumnScan always runs
+_SCAN_EXAMPLES = [
+    # on slope 1, each example fails one condition of the column scan only, and
+    # passes it if that condition is dropped: den does not divide the first
+    # value, the first step, the second difference; the least value is -1
+    (QuadPoly(_HALF, 0, 0, _HALF, 1, _HALF), Slope(1, 1), 20),
+    (QuadPoly(_HALF, 0, 0, _HALF, 3 * _HALF, 0), Slope(1, 1), 20),
+    (QuadPoly(_HALF, 0, _QUARTER, _HALF, 3 * _QUARTER, 0), Slope(1, 1), 20),
+    (QuadPoly(_HALF, 0, 0, _HALF, 1, -1), Slope(1, 1), 20),
     # the region of slope 3 at prefix 1 is (0, 0) and column 1, y = 0..3; there
     # y^2 - 2y + 1 repeats at y = 0 and 2 (step 2), x + 5 is 6 all along (step
     # 0), and 2y^2 - 7y + 5 is 5, 0, -1, 2: negative only where the rises
     # turn, so only the column pass can see it
-    @example(QuadPoly(c02=1, c01=-2, c10=-1, c00=2), Slope(3, 1), 1)
-    @example(QuadPoly(c10=1, c00=5), Slope(3, 1), 1)
-    @example(QuadPoly(c02=2, c01=-7, c10=2, c00=3), Slope(3, 1), 1)
-    # x + y has no repeat inside a column: the sort finds (1, 1) and (2, 0)
-    @example(QuadPoly(c10=1, c01=1), Slope(1, 1), 20)
+    (QuadPoly(c02=1, c01=-2, c10=-1, c00=2), Slope(3, 1), 1),
+    (QuadPoly(c10=1, c00=5), Slope(3, 1), 1),
+    (QuadPoly(c02=2, c01=-7, c10=2, c00=3), Slope(3, 1), 1),
+    # no repeat inside a column, so only the sort sees these: x + y at (1, 1)
+    # and (2, 0), and -x^2 + 400x + y at (133, 133) and (134, 0), late in the region
+    (QuadPoly(c10=1, c01=1), Slope(1, 1), 20),
+    (QuadPoly(c20=-1, c10=400, c01=1), Slope(1, 1), 5000),
+]
+
+
+def _with_scan_examples(test):
+    for args in _SCAN_EXAMPLES:
+        test = example(*args)(test)
+    return test
+
+
+class TestColumnScan:
+    @given(_CANDIDATES, _SLOPES, st.integers(1, 60))
+    @_with_scan_examples
     def test_matches_point_walk(self, f, slope, prefix):
         sector = Sector(slope)
         assert verify_packing(f, sector, prefix) == _walk_verdict(f, sector, prefix)
+
+    def test_the_values_are_made_at_most_once_per_call(self, monkeypatch):
+        # a repeat only the sort sees is found by the walk, not by a second pass
+        column_values = verify._column_values
+        calls = []
+
+        def spy(forms, tops):
+            calls.append(tops)
+            return column_values(forms, tops)
+
+        monkeypatch.setattr(verify, "_column_values", spy)
+        sorted_repeats = 0
+        for f, slope, prefix in _SCAN_EXAMPLES:
+            calls.clear()
+            verdict = verify_packing(f, Sector(slope), prefix)
+            assert len(calls) <= 1, (f, slope, prefix)
+            sorted_repeats += bool(calls) and verdict.reason == "collision"
+        assert sorted_repeats == 2
 
     def test_branches_with_different_denominators(self):
         # integer-valued on their own columns only: x = 1 mod 3 and x = 2 mod 3
