@@ -154,11 +154,17 @@ class QuadPoly:
         """(den, integer coefficients) with self = (sum of terms) / den.
 
         Lets hot loops evaluate with plain integers: the value at (x, y) is an
-        integer exactly when den divides the integer combination.
+        integer exactly when den divides the integer combination.  Made once
+        per instance and kept in its __dict__, which equality, hashing and
+        repr do not read: they compare and show the six fields only.
         """
-        coeffs = self.coefficients()
-        den = lcm(*(c.denominator for c in coeffs))
-        return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        form = self.__dict__.get("_integer_form")
+        if form is None:
+            coeffs = self.coefficients()
+            den = lcm(*(c.denominator for c in coeffs))
+            form = den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+            self.__dict__["_integer_form"] = form
+        return form
 
     def __str__(self) -> str:
         parts = []

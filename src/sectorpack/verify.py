@@ -13,15 +13,15 @@ order interleaves s such column walks, one per class of x mod s.
 sector: values must be nonnegative integers, pairwise distinct, and cover
 {0..prefix-1}.  The examined region holds a slope-dependent multiple of
 `prefix` points so that every preimage of a small value is actually looked
-at.  Two exact passes decide pass or fail.  On column x a branch is a
-quadratic in y, so a Python pass with O(1) work per column finds the first
-column holding a non-integer, a negative value or two equal values.  If no
-column does, a numpy pass writes the region's values into one array, int64
-where a bound proves every step exact and Python ints otherwise, and sorts
-it once: equal neighbours are a repeat across columns, and the sorted
-values show at a glance whether {0..prefix-1} occurs.  Only a failure walks
-the points, up to the failing column or to the repeat the sort saw, to name
-the first witness in column order.
+at.  Integrality costs O(1) per branch: a quadratic with integer values on
+one lattice triangle is integer-valued everywhere (Polya), and a branch's
+columns hold such a triangle unless the region is small, where its columns
+are checked one by one.  Then a numpy pass writes the region's values into
+one array, int64 where a bound proves every step exact and Python ints
+otherwise, and sorts it once: the first value shows a negative one, equal
+neighbours a repeat, and the sorted values show at a glance whether
+{0..prefix-1} occurs.  Only a failure walks the points, until the first
+one, to name the first witness in column order.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
 through a funnel of exact int32/int64 screens, with no floating point, and
@@ -193,52 +193,52 @@ def _examined_region(sector: Sector, prefix: int) -> tuple[int, ...]:
     return tuple(tops)
 
 
-def _first_bad_column(forms: list, tops: tuple[int, ...]) -> int | None:
-    """The first column holding a non-integer, negative or repeated value,
-    with O(1) work per column; None if there is none.  Repeats between
-    columns are left to _column_values.
+def _has_triangle(tops: tuple[int, ...]) -> bool:
+    """Whether the region with these column tops holds a lattice triangle
+    {(a+i, b+j) : i + j <= 2}.
 
-    On column x the numerator is a*x^2 + d*x + g at y = 0, and steps up by
-    b*x + c + e + 2*c*y from y to y + 1.  So every value of the column is an
-    integer iff den divides the first value, the first step (when the column
-    has two points) and the second difference 2*c (when it has three).  Then
-    the value at y is v(y) = first + rise*y + step*y*(y-1)/2 in integers.
-    Its least value lies at y = 0, at y = top or, when step > 0, where the
-    rises turn, y = ceil(-rise/step).  And v(y2) - v(y1) = (y2 - y1) *
-    (rise + step*(y1 + y2 - 1)/2), so two values are equal iff y1 + y2 =
-    1 - 2*rise/step for some 0 <= y1 < y2 <= top, or rise = 0 when step = 0.
-    A column with top < 2 leaves step (and with top = 0, rise) unchecked,
-    but v(0) and v(1) do not read it, and the repeat test then asks for
-    rise = 0 when top = 1 and for nothing when top = 0.
+    The tops never decrease, so if any triangle fits, the one with corner
+    (len(tops) - 3, 0) does.  A quadratic with integer values on such a
+    triangle has integer values on all of Z^2: its coefficients in the
+    binomial basis C(x,2), xy, C(y,2), x, y, 1 about the corner are integer
+    differences of those six values.
+    """
+    return len(tops) >= 3 and tops[-3] >= 2
+
+
+def _integer_valued(forms: list, tops: tuple[int, ...]) -> bool:
+    """Whether every value on the region is an integer, with O(1) work per
+    branch when its columns hold a lattice triangle.
+
+    Branch ell of a period-p form serves the columns x = ell + p*i, where
+    it is a quadratic in (i, y).  If those columns hold a triangle (see
+    _has_triangle), it is an integer on them iff it is one on all of Z^2,
+    and so iff it is one on the triangle i + y <= 2, the columns i = 0, 1, 2
+    with tops 2, 1, 0.  Otherwise (only small regions) every column of the
+    class is checked.  A column is a quadratic in y whose numerator is
+    a*x^2 + d*x + g at y = 0 and steps up by b*x + c + e + 2*c*y, so its
+    values are integers iff den divides the first value, the first step
+    (when the column has two points) and the second difference 2*c (when it
+    has three).
     """
     period = len(forms)
-    for x, top in enumerate(tops):
-        den, (a, b, c, d, e, g) = forms[x % period]
-        first, rise, step = a * x * x + d * x + g, b * x + c + e, 2 * c
-        if first % den or (top >= 1 and rise % den) or (top >= 2 and step % den):
-            return x
-        first, rise, step = first // den, rise // den, step // den
-        least = min(first, first + rise * top + step * (top * (top - 1) // 2))
-        if step > 0:
-            turn = -(rise // step)
-            if 0 < turn < top:
-                least = min(least, first + rise * turn + step * (turn * (turn - 1) // 2))
-        if least < 0:
-            return x
-        if step:
-            twice, odd = divmod(-2 * rise, step)  # y1 + y2 - 1, if it is an integer
-            if not odd and 0 <= twice <= 2 * top - 2:
-                return x
-        elif top >= 1 and not rise:
-            return x
-    return None
+    for ell, (den, (a, b, c, d, e, g)) in enumerate(forms):
+        columns = tops[ell::period]
+        if _has_triangle(columns):
+            columns = (2, 1, 0)
+        for i, top in enumerate(columns):
+            x = ell + period * i
+            if ((a * x * x + d * x + g) % den or (top and (b * x + c + e) % den)
+                    or (top > 1 and 2 * c % den)):
+                return False
+    return True
 
 
 def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     """The values of the region's points in column order, exact: int64 when
     every numerator, every Horner intermediate and den are proved below 2^63
     on the region, otherwise Python ints in an object array.  Every value
-    must be an integer (see _first_bad_column).
+    must be an integer (see _integer_valued).
 
     Each term of a numerator is at most |its coefficient| * M^2 in size, for
     M the largest x or y of the region (at least 1), and so is each partial
@@ -273,7 +273,7 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
 
 def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
     """The first failure and its witness, walking the region point by point
-    in column order; the region must hold a failure."""
+    in column order until the first one; the region must hold a failure."""
     period = len(forms)
     seen: dict[int, Point] = {}
     for x, top in enumerate(tops):
@@ -288,7 +288,7 @@ def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
             if value in seen:
                 return "collision", (seen[value], (x, y))
             seen[value] = (x, y)
-    raise AssertionError("the column checks failed a region the point walk passes")
+    raise AssertionError("the integrality test or the sort failed a region the point walk passes")
 
 
 def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
@@ -296,34 +296,31 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
 
     Pass iff on the examined region (see _examined_region): all values are
     nonnegative integers, pairwise distinct, and {0..prefix-1} all occur.
-    Two exact passes decide.  The first (_first_bad_column) stops at the
-    first column with a non-integer, negative or repeated value; the point
-    walk up to that column then names the first witness in column order,
-    which may lie in an earlier column, where a value repeats one before it.
-    If no column fails, the second pass sorts the region's values
-    (_column_values): an equal adjacent pair is a repeat, and the walk over
-    the whole region stops at the first one in column order.  Otherwise
-    the values are distinct nonnegative integers, so {0..prefix-1} occurs
-    iff the sorted value at prefix-1 is prefix-1, and the first i whose
-    sorted value is not i is the least missing value.
+    Integrality is settled per branch by Polya's triangle
+    (_integer_valued).  Then one sort of the region's values
+    (_column_values) sees the rest: the least value is the first, and an
+    equal adjacent pair is a repeat, inside a column or across columns.
+    Otherwise the values are distinct nonnegative integers, so
+    {0..prefix-1} occurs iff the sorted value at prefix-1 is prefix-1, and
+    the first i whose sorted value is not i is the least missing value.
+    Any other failure walks the points until the first one, to name its
+    witness in column order.
     """
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
     forms = [branch.scaled_integer_form() for branch in f.branches]
     tops = _examined_region(sector, prefix)
     bound, examined = len(tops) - 1, sum(tops) + len(tops)
-    failing = _first_bad_column(forms, tops)
-    if failing is None:
+    if _integer_valued(forms, tops):
         values = _column_values(forms, tops)
         values.sort()
-        if not (values[1:] == values[:-1]).any():
+        if values[0] >= 0 and not (values[1:] == values[:-1]).any():
             if values[prefix - 1] == prefix - 1:
                 return PackingVerdict(True, None, None, bound, examined)
             missing = int(np.flatnonzero(values[:prefix] != np.arange(prefix))[0])
             return PackingVerdict(False, "missing", (missing,), bound, examined)
         del values  # freed before the walk, which holds its own values
-        failing = bound  # the walk stops at the first repeat by itself
-    reason, witness = _walk_points(forms, tops[:failing + 1])
+    reason, witness = _walk_points(forms, tops)
     return PackingVerdict(False, reason, witness, bound, examined)
 
 
@@ -366,19 +363,6 @@ _WORK: dict = {}
 
 def _search_init(payload: dict) -> None:
     _WORK.update(payload)
-
-
-def _has_triangle(tops: tuple[int, ...]) -> bool:
-    """Whether the region with these column tops holds a lattice triangle
-    {(a+i, b+j) : i + j <= 2}.
-
-    The tops never decrease, so if any triangle fits, the one with corner
-    (len(tops) - 3, 0) does.  A quadratic with integer values on such a
-    triangle has integer values on all of Z^2: its coefficients in the
-    binomial basis C(x,2), xy, C(y,2), x, y, 1 about the corner are integer
-    differences of those six values.
-    """
-    return len(tops) >= 3 and tops[-3] >= 2
 
 
 def _cosets(bounds: tuple[int, ...], sublattice: bool) -> list[tuple[range, ...]]:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,18 @@ class TestIntegrality:
             combo = (ints[0] * x * x + ints[1] * x * y + ints[2] * y * y
                      + ints[3] * x + ints[4] * y + ints[5])
             assert Fraction(combo, den) == f.evaluate(p)
+
+    def test_scaled_integer_form_is_made_once_and_stays_out_of_sight(self):
+        f = H_32.branches[1]
+        fresh = QuadPoly(*f.coefficients())
+        before = (repr(fresh), hash(fresh), pickle.dumps(fresh))
+        form = fresh.scaled_integer_form()
+        assert fresh.scaled_integer_form() is form
+        assert (repr(fresh), hash(fresh)) == before[:2]
+        assert fresh == f and f == fresh
+        for copy in (pickle.loads(before[2]), pickle.loads(pickle.dumps(fresh))):
+            assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+            assert copy.scaled_integer_form() == form
 
 
 class TestSerialization:

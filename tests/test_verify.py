@@ -215,24 +215,41 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 # (candidate, slope, prefix) cases that TestColumnScan always runs
 _SCAN_EXAMPLES = [
-    # on slope 1, each example fails one condition of the column scan only, and
-    # passes it if that condition is dropped: den does not divide the first
-    # value, the first step, the second difference; the least value is -1
+    # on slope 1, den does not divide a column's first value, its first step
+    # or its second difference, and the values on Polya's triangle show each;
+    # the least value is -1, the first of the sorted values
     (QuadPoly(_HALF, 0, 0, _HALF, 1, _HALF), Slope(1, 1), 20),
     (QuadPoly(_HALF, 0, 0, _HALF, 3 * _HALF, 0), Slope(1, 1), 20),
     (QuadPoly(_HALF, 0, _QUARTER, _HALF, 3 * _QUARTER, 0), Slope(1, 1), 20),
     (QuadPoly(_HALF, 0, 0, _HALF, 1, -1), Slope(1, 1), 20),
-    # the region of slope 3 at prefix 1 is (0, 0) and column 1, y = 0..3; there
-    # y^2 - 2y + 1 repeats at y = 0 and 2 (step 2), x + 5 is 6 all along (step
-    # 0), and 2y^2 - 7y + 5 is 5, 0, -1, 2: negative only where the rises
-    # turn, so only the column pass can see it
+    # the values of 20x + 3y/2 rounded down would be distinct, so only the
+    # first step shows the half at (1, 1)
+    (QuadPoly(c10=20, c01=3 * _HALF), Slope(1, 1), 20),
+    # the region of slope 3 at prefix 1 is (0, 0) and column 1, y = 0..3, which
+    # holds no triangle; there y^2 - 2y + 1 repeats at y = 0 and 2, x + 5 is 6
+    # all along, and 2y^2 - 7y + 5 is 5, 0, -1, 2: each fails inside the
+    # column, and the sort sees the repeats and the least value
     (QuadPoly(c02=1, c01=-2, c10=-1, c00=2), Slope(3, 1), 1),
     (QuadPoly(c10=1, c00=5), Slope(3, 1), 1),
     (QuadPoly(c02=2, c01=-7, c10=2, c00=3), Slope(3, 1), 1),
-    # no repeat inside a column, so only the sort sees these: x + y at (1, 1)
-    # and (2, 0), and -x^2 + 400x + y at (133, 133) and (134, 0), late in the region
+    # repeats across columns: x + y at (1, 1) and (2, 0), and -x^2 + 400x + y
+    # at (133, 133) and (134, 0), late in the region
     (QuadPoly(c10=1, c01=1), Slope(1, 1), 20),
     (QuadPoly(c20=-1, c10=400, c01=1), Slope(1, 1), 5000),
+    # integer-valued on a region with no triangle, not on Z^2: on slope 1/5 at
+    # prefix 1 the tops are 0, 0, 0, 0, 0, 1, 1, 1, where y(y - 1)/4 is 0, and
+    # it passes; at prefix 2 the region reaches y = 2, still with no
+    # triangle, and the value at (10, 2) is 45/2; with 3x the values rounded
+    # down would be distinct, so only the second difference shows it
+    (QuadPoly(c02=_QUARTER, c10=2, c01=3 * _QUARTER), Slope(1, 5), 1),
+    (QuadPoly(c02=_QUARTER, c10=2, c01=3 * _QUARTER), Slope(1, 5), 2),
+    (QuadPoly(c02=_QUARTER, c10=3, c01=3 * _QUARTER), Slope(1, 5), 2),
+    # slope 3 at prefix 20 examines columns 0..7: class 1 mod 3 holds a
+    # triangle, class 2 (columns 2 and 5) does not, and its branch adds
+    # (x - 2)(x - 5)/36, 0 on them and 1/2 at x = 8; no value is 1
+    (QuasiPoly(3, [QuadPoly(c10=100, c01=1)] * 2
+               + [QuadPoly(Fraction(1, 36), 0, 0, 100 - Fraction(7, 36), 1, Fraction(5, 18))]),
+     Slope(3, 1), 20),
 ]
 
 
@@ -250,7 +267,7 @@ class TestColumnScan:
         assert verify_packing(f, sector, prefix) == _walk_verdict(f, sector, prefix)
 
     def test_the_values_are_made_at_most_once_per_call(self, monkeypatch):
-        # a repeat only the sort sees is found by the walk, not by a second pass
+        # the sort sees every repeat and the walk names it, with no second pass
         column_values = verify._column_values
         calls = []
 
@@ -265,7 +282,7 @@ class TestColumnScan:
             verdict = verify_packing(f, Sector(slope), prefix)
             assert len(calls) <= 1, (f, slope, prefix)
             sorted_repeats += bool(calls) and verdict.reason == "collision"
-        assert sorted_repeats == 2
+        assert sorted_repeats == 4
 
     def test_branches_with_different_denominators(self):
         # integer-valued on their own columns only: x = 1 mod 3 and x = 2 mod 3
