@@ -17,11 +17,14 @@ at.  Integrality costs O(1) per branch: a quadratic with integer values on
 one lattice triangle is integer-valued everywhere (Polya), and a branch's
 columns hold such a triangle unless the region is small, where its columns
 are checked one by one.  Then a numpy pass writes the region's values into
-one array, int64 where a bound proves every step exact and Python ints
-otherwise, and sorts it once: the first value shows a negative one, equal
-neighbours a repeat, and the sorted values show at a glance whether
-{0..prefix-1} occurs.  Only a failure walks the points, until the first
-one, to name the first witness in column order.
+one array, evaluated flat over whole columns with every branch scaled to
+one common denominator, so that one scalar division ends it: int32 or
+int64 where a bound proves every step exact, and Python ints otherwise.
+One sort follows: the first value shows a negative one, equal neighbours
+a repeat, and the sorted values show at a glance whether {0..prefix-1}
+occurs.  Only a failure walks the points, until the first one, to name
+the first witness in column order; after a sort, the walk records only
+the values that the sort saw repeated.
 
 The search tools sweep the box of half-integer coefficients |c| <= bound
 through a funnel of exact int32/int64 screens, with no floating point, and
@@ -90,6 +93,7 @@ from .poly import PolyLike, QuadPoly, _quad_to_object
 # _examined_region.
 _COVERAGE_MARGIN = 4
 _BLOCK_POINTS = 1 << 15  # values made at a time by _column_values, unless a column is longer
+_INT32_LIMIT = 2 ** 31  # values below this in magnitude fit int32, in verify and in the screens
 
 
 def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
@@ -234,46 +238,92 @@ def _integer_valued(forms: list, tops: tuple[int, ...]) -> bool:
     return True
 
 
-def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
-    """The values of the region's points in column order, exact: int64 when
-    every numerator, every Horner intermediate and den are proved below 2^63
-    on the region, otherwise Python ints in an object array.  Every value
-    must be an integer (see _integer_valued).
+@functools.lru_cache(maxsize=16)
+def _column_layout(tops: tuple[int, ...], period: int, dtype) -> tuple:
+    """What _column_values needs of the region, whatever the candidate:
 
-    Each term of a numerator is at most |its coefficient| * M^2 in size, for
-    M the largest x or y of the region (at least 1), and so is each partial
-    sum of Horner's rule (c*y + b*x + e)*y + x*(a*x + d) + g.  A block of
-    whole columns is evaluated at once on the rectangle of its columns and
-    its highest y, about _BLOCK_POINTS values; its points are then taken in
-    column order into one array.
+    - each column's number of points, as the counts of np.repeat;
+    - each column's first point index, x^2, x and 1, shape (period, 4, m),
+      with column x = ell + period*i at [ell, :, i] (0 past the last column),
+      so that the branch of row ell acts on its columns by one matmul;
+    - the blocks (x0, x1, start, stop): columns x0..x1-1, which hold the
+      points start..stop-1, at most _BLOCK_POINTS of them unless one column
+      is longer.
+
+    Memoised, as callers verify many candidates on one region; the arrays
+    are read-only, as every call shares them.
     """
+    heights = np.array(tops, dtype=np.int64) + 1
+    ends = np.cumsum(heights)
+    xs = np.arange(len(tops)).astype(dtype)
+    width = -(-len(tops) // period) * period  # the columns, rounded up to whole periods
+    monomials = np.zeros((4, width), dtype=dtype)
+    for row, monomial in zip(monomials, [ends - heights, xs * xs, xs, 1]):
+        row[:len(tops)] = monomial
+    blocks, x0 = [], 0
+    while x0 < len(tops):
+        start = int(ends[x0] - heights[x0])
+        x1 = max(x0 + 1, int(np.searchsorted(ends, start + _BLOCK_POINTS, "right")))
+        blocks.append((x0, x1, start, int(ends[x1 - 1])))
+        x0 = x1
+    monomials = monomials.reshape(4, -1, period).transpose(2, 0, 1)
+    heights.flags.writeable = monomials.flags.writeable = False
+    return heights, monomials, tuple(blocks)
+
+
+def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
+    """The values of the region's points in column order, exact.  Every
+    value must be an integer (see _integer_valued).
+
+    The region is evaluated flat, with no rectangle and no mask.  Every
+    branch is scaled to L, the lcm of the branch denominators, so that one
+    division by the Python int L ends the evaluation.  Each column takes
+    c, b*x + e and a*x^2 + d*x + g of its branch once, by one matmul of a
+    4x4 matrix per branch with the column monomials of _column_layout, and
+    np.repeat spreads them over the column's points.  There Horner's rule
+    (c*y + b*x + e)*y + a*x^2 + d*x + g runs on a block of whole columns,
+    about _BLOCK_POINTS values at a time, with the ys of the block as its
+    point indices less the first index of each point's column.
+
+    Each term of a scaled numerator is at most |its coefficient| * M^2 in
+    size, for M the largest x or y of the region (at least 1), and so is
+    each monomial and each partial sum, of the matmul and of Horner's rule.
+    The values are int32 when that bound, L and the point count (which
+    bounds every point index) are all below _INT32_LIMIT, int64 when they
+    are below 2^63, and Python ints in an object array otherwise.
+    """
+    scale = math.lcm(*(den for den, _ in forms))
+    table = [[scale // den * k for k in coeffs] for den, coeffs in forms]
     reach = max(len(tops) - 1, tops[-1], 1)
-    worst = max(max(den, sum(map(abs, coeffs)) * reach * reach) for den, coeffs in forms)
-    dtype = np.int64 if worst < 2 ** 63 else object
-    table = np.array([(den, *coeffs) for den, coeffs in forms], dtype=dtype)
-    column_tops = np.array(tops, dtype=np.int64)
-    values = np.empty(sum(tops) + len(tops), dtype=dtype)
-    span = max(1, _BLOCK_POINTS // (tops[-1] + 1))  # columns per block
-    done = 0
-    for x0 in range(0, len(tops), span):
-        xs = np.arange(x0, min(x0 + span, len(tops)))
-        den, a, b, c, d, e, g = table[xs % len(forms)].T[:, :, None]
-        xs = xs.astype(dtype)[:, None]
-        ys = np.arange(tops[x0 + len(xs) - 1] + 1, dtype=dtype)
-        num = c * ys
-        num += b * xs + e
+    points = sum(tops) + len(tops)
+    size = max(max(sum(map(abs, row)) for row in table), 1)
+    worst = max(scale, points, size * reach * reach)
+    dtype = np.int32 if worst < _INT32_LIMIT else np.int64 if worst < 2 ** 63 else object
+    heights, monomials, blocks = _column_layout(tops, len(forms), dtype)
+    # per branch: (first index, x^2, x, 1) -> (first index, c, b*x + e, a*x^2 + d*x + g),
+    # the first index carried along so that one np.repeat spreads all four
+    maps = np.array([[(1, 0, 0, 0), (0, 0, 0, c), (0, 0, b, e), (0, a, d, g)]
+                     for a, b, c, d, e, g in table], dtype=dtype)
+    columns = (maps @ monomials).transpose(1, 2, 0).reshape(4, -1)  # back to column order
+    values = np.empty(points, dtype=dtype)
+    for x0, x1, start, stop in blocks:
+        ys, c, linear, constant = np.repeat(columns[:, x0:x1], heights[x0:x1], axis=1)
+        np.subtract(np.arange(start, stop, dtype=dtype), ys, out=ys)
+        num = values[start:stop]
+        np.multiply(c, ys, out=num)
+        num += linear
         num *= ys
-        num += xs * (a * xs + d) + g
-        num //= den
-        num = num[ys <= column_tops[x0:x0 + len(xs), None]]  # (x, y) by x, then y
-        values[done:done + len(num)] = num
-        done += len(num)
+        num += constant
+        num //= scale
     return values
 
 
-def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
+def _walk_points(forms: list, tops: tuple[int, ...],
+                 repeated: Optional[set]) -> tuple[str, tuple]:
     """The first failure and its witness, walking the region point by point
-    in column order until the first one; the region must hold a failure."""
+    in column order until the first one; the region must hold a failure.
+    `repeated` is None, or the values that the sort saw more than once, and
+    then only those are recorded on the way."""
     period = len(forms)
     seen: dict[int, Point] = {}
     for x, top in enumerate(tops):
@@ -287,7 +337,8 @@ def _walk_points(forms: list, tops: tuple[int, ...]) -> tuple[str, tuple]:
                 return "negative", (x, y)
             if value in seen:
                 return "collision", (seen[value], (x, y))
-            seen[value] = (x, y)
+            if repeated is None or value in repeated:
+                seen[value] = (x, y)
     raise AssertionError("the integrality test or the sort failed a region the point walk passes")
 
 
@@ -304,23 +355,28 @@ def verify_packing(f: PolyLike, sector: Sector, prefix: int) -> PackingVerdict:
     {0..prefix-1} occurs iff the sorted value at prefix-1 is prefix-1, and
     the first i whose sorted value is not i is the least missing value.
     Any other failure walks the points until the first one, to name its
-    witness in column order.
+    witness in column order, holding only the values that the sort saw
+    repeat: the first collision in column order is the first point whose
+    value was seen before, and only a repeated value can be.
     """
     if prefix < 1:
         raise SectorPackError(f"prefix must be positive, got {prefix}")
     forms = [branch.scaled_integer_form() for branch in f.branches]
     tops = _examined_region(sector, prefix)
     bound, examined = len(tops) - 1, sum(tops) + len(tops)
+    repeated = None
     if _integer_valued(forms, tops):
         values = _column_values(forms, tops)
         values.sort()
-        if values[0] >= 0 and not (values[1:] == values[:-1]).any():
+        equal = values[1:] == values[:-1]
+        if values[0] >= 0 and not equal.any():
             if values[prefix - 1] == prefix - 1:
                 return PackingVerdict(True, None, None, bound, examined)
             missing = int(np.flatnonzero(values[:prefix] != np.arange(prefix))[0])
             return PackingVerdict(False, "missing", (missing,), bound, examined)
-        del values  # freed before the walk, which holds its own values
-    reason, witness = _walk_points(forms, tops)
+        repeated = set(values[1:][equal].tolist())
+        del values, equal  # freed before the walk, which holds its own values
+    reason, witness = _walk_points(forms, tops, repeated)
     return PackingVerdict(False, reason, witness, bound, examined)
 
 
@@ -355,7 +411,6 @@ _MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
 _SLICE_BYTES = 1 << 21  # bytes of values per batch of the later tiers, to cap their size
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
-_INT32_LIMIT = 2 ** 31  # values below this in magnitude fit the int32 screen
 
 # worker payload, installed once per process by _search_init
 _WORK: dict = {}

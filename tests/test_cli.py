@@ -491,34 +491,39 @@ class TestBoundedMemory:
         assert err.splitlines()[-1] == "search: 45/45 chunks"
         assert json.loads(out)["survivors"] == [{"x2": "1/2", "xy": "-2", "y2": "2", "x": "1/2"}]
 
-    @pytest.mark.parametrize("family, examined", [("cantor-f", "1000000 points, columns 0..999"),
-                                                  ("quasi:3/2", "1000519 points, columns 0..1154")],
-                             ids=["cantor-f", "quasi:3/2"])
-    def test_verify_at_the_region_limit_peaks_under_50_mib(self, family, examined):
-        # the sorted values of a million points take 8 MB, and a block of them
-        # is made at a time.  ru_maxrss survives exec, and a child forked from
-        # this process starts at its size, so a small interpreter runs the
-        # command and reports the peak of its own child.
+    def peak(self, *argv):
+        """(status, stdout, peak bytes) of sector-pack argv.  ru_maxrss
+        survives exec, and a child forked from this process starts at its
+        size, so a small interpreter runs the command and reports the peak
+        of its own child."""
         code = ("import resource, subprocess, sys\n"
                 "argv = [sys.executable, '-m', 'sectorpack.cli', *sys.argv[1:]]\n"
                 "status = subprocess.call(argv)\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
                 "sys.exit(status)\n")
-        child = self.spawn("verify", "--family", family, "--prefix", "250000", code=code)
+        child = self.spawn(*argv, code=code)
         out, err = child.communicate(timeout=120)
-        assert (child.returncode, out) == (0, f"PASS pass ({examined})\n"), err
-        peak = int(err) * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, else KiB
+        assert err.strip().isdigit(), err
+        return child.returncode, out, int(err) * (1 if sys.platform == "darwin" else 1024)
+
+    @pytest.mark.parametrize("family, examined", [("cantor-f", "1000000 points, columns 0..999"),
+                                                  ("quasi:3/2", "1000519 points, columns 0..1154")],
+                             ids=["cantor-f", "quasi:3/2"])
+    def test_verify_at_the_region_limit_peaks_under_50_mib(self, family, examined):
+        # the sorted values of a million points take 4 MB as int32, and a
+        # block of them is made at a time
+        status, out, peak = self.peak("verify", "--family", family, "--prefix", "250000")
+        assert (status, out) == (0, f"PASS pass ({examined})\n")
         assert peak < 50 * 2 ** 20
 
     def test_verify_finds_a_late_repeat_at_the_region_limit(self):
         # no column repeats a value, so the sort sees the repeat, in column
-        # 1,334 of 1,414; the point walk that names it holds every value
-        # before it, near 180 MiB, inside the cap
-        child = self.spawn("verify", "--poly", '{"x2":"-1","x":"4000","y":"1"}', "--slope", "1",
-                           "--prefix", "250000")
-        out, err = child.communicate(timeout=120)
-        assert child.returncode == 3, err
-        assert out == "FAIL fail: collision at ((1333, 1333), (1334, 0))\n"
+        # 1,334 of 1,414; the point walk that names it records only the 9,560
+        # values that the sort saw repeated, not every value before it
+        status, out, peak = self.peak("verify", "--poly", '{"x2":"-1","x":"4000","y":"1"}',
+                                      "--slope", "1", "--prefix", "250000")
+        assert (status, out) == (3, "FAIL fail: collision at ((1333, 1333), (1334, 0))\n")
+        assert peak < 60 * 2 ** 20
 
     def test_linear_search_at_a_high_bound(self):
         # the screens hold five monomial rows of the region whatever the bound

@@ -2,7 +2,7 @@ import ast
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -284,12 +284,17 @@ class TestColumnScan:
             sorted_repeats += bool(calls) and verdict.reason == "collision"
         assert sorted_repeats == 4
 
-    def test_branches_with_different_denominators(self):
-        # integer-valued on their own columns only: x = 1 mod 3 and x = 2 mod 3
+    @staticmethod
+    def _thirds():
+        """steep("F", 1) plus branches integer-valued on their own columns only,
+        x = 1 mod 3 and x = 2 mod 3, over the denominators 2, 6 and 3."""
         f = steep("F", 1).form
-        third = QuasiPoly(3, [f, f + QuadPoly(c10=Fraction(1, 3), c00=Fraction(-1, 3)),
-                              f + QuadPoly(c20=Fraction(1, 6), c10=Fraction(-7, 6),
-                                           c00=Fraction(5, 3))])
+        return QuasiPoly(3, [f, f + QuadPoly(c10=Fraction(1, 3), c00=Fraction(-1, 3)),
+                             f + QuadPoly(c20=Fraction(1, 6), c10=Fraction(-7, 6),
+                                          c00=Fraction(5, 3))])
+
+    def test_branches_with_different_denominators(self):
+        third = self._thirds()
         assert [b.scaled_integer_form()[0] for b in third.branches] == [2, 6, 3]
         verdicts = []
         for shift in (0, 1, _HALF):
@@ -326,6 +331,40 @@ class TestColumnScan:
                     assert verify_packing(candidate, I1, prefix) == \
                         _walk_verdict(candidate, I1, prefix), (k, candidate, prefix)
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_int32_and_int64_values_agree_with_the_walk(self, monkeypatch):
+        # as above, near 2^31: the values are int32 only under the bound, int64
+        # past it; and branches over 2, 6 and 3 share the one divisor 6
+        column_values = verify._column_values
+        dtypes, scales = set(), set()
+
+        def spy(forms, tops):
+            values = column_values(forms, tops)
+            dtypes.add(values.dtype)
+            scales.add(lcm(*(den for den, _ in forms)))
+            exact = [(a * x * x + b * x * y + c * y * y + d * x + e * y + g) // den
+                     for x, top in enumerate(tops) for y in range(top + 1)
+                     for den, (a, b, c, d, e, g) in [forms[x % len(forms)]]]
+            assert values.tolist() == exact
+            return values
+
+        monkeypatch.setattr(verify, "_column_values", spy)
+        f = steep("F", 1).form
+        for k in (2 ** 30 - 1, 2 ** 31 - 5, 2 ** 31, 2 ** 32):
+            candidates = [f + QuadPoly.constant(k), f.scale(k // 64),
+                          f.scale(k // 1024) + QuadPoly.constant(k // 2),
+                          QuadPoly(c10=k // 64, c01=k // 64),
+                          QuasiPoly(2, [f.scale(k // 256), f.scale(k // 128)])]
+            for candidate in candidates:
+                for prefix in (1, 7, 60):
+                    assert verify_packing(candidate, I1, prefix) == \
+                        _walk_verdict(candidate, I1, prefix), (k, candidate, prefix)
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+        third = self._thirds()
+        scales.clear()
+        for prefix in (1, 7, 60):
+            assert verify_packing(third, I1, prefix) == _walk_verdict(third, I1, prefix)
+        assert scales == {6}
 
     def test_matches_point_walk_on_shifted_families(self):
         # near-packings: each verdict kind but "collision" shows here
