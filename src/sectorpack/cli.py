@@ -38,7 +38,7 @@ from .verify import (iter_sector, linear_impossibility_check, region_target, sea
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
-_REGION_LIMIT = 1_000_000  # examined points; verify peaks near 40 MiB there, 180 on a late repeat
+_REGION_LIMIT = 1_000_000  # examined points; verify peaks near 40 MiB there, a late repeat too
 _WRITE_BATCH = 4096  # output pieces joined into one write
 _EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
 

@@ -49,9 +49,13 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    lattice point (k20*(x^2 + x), k11*xy and k02*(y^2 + y) are even there),
    so only the full-box fallback tests parity.  The full screen also needs
    {0..prefix-1} to occur, so 0 occurs and k00 = -min W: each surviving
-   shape is one candidate.  The screens run on the first 48 region points,
-   then on the first 512, then on the whole region, where the coverage
-   count runs before the sort that tests distinctness.
+   shape is one candidate.  First, a table made once per sweep runs these
+   tests on the region's y = 0 row, where W = k20*x^2 + k10*x whatever
+   k11, k02 and k01: a pair (k20, k10) that fails there fails the whole
+   region for every shape that holds it, so each chunk drops it from its
+   grids.  The screens then run on the first 48 region points, then on the
+   first 512, then on the whole region, where the coverage count runs
+   before the sort that tests distinctness.
 3. Values are built from the monomial rows x^2, xy, y^2, x and y of the
    region, computed once per search.  A chunk fixes k20 and k11, whose
    terms make one base row.  The 48-point screen broadcasts over each
@@ -478,6 +482,32 @@ def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
     return np.stack([xs * xs, xs * ys, ys * ys, xs, ys])
 
 
+def _axis_table(columns: int, bound: int, even: bool, dtype) -> np.ndarray:
+    """Whether each pair (k20, k10) passes, at [k20 + bound, k10 + bound],
+    what _screen tests without a prefix, on the region's y = 0 row: values
+    no lower than -bound, even unless `even` says they are known to be, and
+    pairwise distinct.
+
+    The row holds the first point (x, 0) of every column, where a shape's W
+    is k20*x^2 + k10*x whatever k11, k02 and k01.  The row is part of the
+    region, so a pair the table refuses fails the whole-region screen for
+    every shape that holds it.  Built one k20 at a time, in the dtype of the
+    region's rows, as |W| <= 2*bound*M there.
+    """
+    xs = np.arange(columns, dtype=dtype)
+    ks = np.arange(-bound, bound + 1, dtype=dtype)
+    linear = np.multiply.outer(ks, xs)  # k10*x, one row per k10
+    squares = xs * xs
+    table = np.empty((len(ks), len(ks)), dtype=bool)
+    for row, k20 in zip(table, ks):
+        values = linear + k20 * squares
+        values.sort(axis=1)
+        row[:] = (values[:, 0] >= -bound) & (values[:, 1:] != values[:, :-1]).all(axis=1)
+        if not even:
+            row &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
+    return table
+
+
 def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
     """Exact filter of shapes by their values W = 2*f - k00 at the first
     points (one row per shape, 0 at the origin): the indices of the rows for
@@ -515,15 +545,27 @@ def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
 
 
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Screen one chunk of the coefficient lattice; returns surviving numerator tuples."""
-    rows, even = _WORK["rows"], _WORK["even"]
+    """Screen one chunk of the coefficient lattice; returns surviving numerator tuples.
+
+    The axis table (see _axis_table) cuts each grid's k10 axis to the values
+    that pass beside the chunk's k20, a fixed k10 included, before any value
+    is made; a chunk left with no grid returns at once."""
+    rows, even, bound = _WORK["rows"], _WORK["even"], _WORK["bound"]
     k20, k11 = fixed[:2]
+    passing = _WORK["axis"][k20 + bound]  # by k10 + bound
+    grids = []
+    for grid in _chunk_grids(_WORK["cosets"], fixed):
+        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[2:]]
+        axes[1] = axes[1][passing[axes[1] + bound]]
+        if axes[1].size:
+            grids.append(axes)
+    if not grids:
+        return []
     base = k20 * rows[0] + k11 * rows[1]  # the chunk's x^2 and xy terms at each point
     # first tier: the values of each coset grid are sums of per-axis terms
     first = base[:_SCREEN_POINTS]
     picks = []
-    for grid in _chunk_grids(_WORK["cosets"], fixed):
-        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[2:]]
+    for axes in grids:
         terms = [np.multiply.outer(a, row[:_SCREEN_POINTS]) for a, row in zip(axes, rows[2:])]
         values = ((terms[0] + first)[:, None, None] + terms[1][:, None]) + terms[2]
         kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
@@ -584,6 +626,7 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
         "prefix": prefix,
         "even": sublattice,  # every value of a sublattice shape is even
         "rows": _region_rows(tops, dtype),
+        "axis": _axis_table(len(tops), bound, sublattice, dtype),
     }
     plan = _chunk_plan(cosets)
     total = sum(math.prod(len(r) for r in head) for head in plan)

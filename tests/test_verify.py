@@ -530,6 +530,82 @@ class TestScreenVariants:
         assert reports == default
 
 
+class TestAxisScreen:
+    """The (k20, k10) table on the region's y = 0 row, which _search_chunk reads first."""
+
+    @staticmethod
+    def _chunks(monkeypatch, cases):
+        """(key, result, result with every pair passing) of each chunk of both sweeps."""
+        chunk, seen = verify._search_chunk, []
+
+        def spy(fixed):
+            got = chunk(fixed)
+            with monkeypatch.context() as patch:
+                patch.setitem(verify._WORK, "axis", np.ones_like(verify._WORK["axis"]))
+                seen.append((fixed, got, chunk(fixed)))
+            return got
+
+        monkeypatch.setattr(verify, "_search_chunk", spy)
+        for slope, bound, prefix in cases:
+            for sweep in (search_quadratic, linear_impossibility_check):
+                sweep(Sector(parse_slope(slope)), bound, prefix, workers=1)
+        return seen
+
+    def test_chunks_find_what_they_found_without_it(self, monkeypatch):
+        seen = self._chunks(monkeypatch, _SCREEN_CASES)
+        assert all(got == whole for _, got, whole in seen)
+        assert any(got for _, got, _ in seen)
+
+    def test_chunks_keyed_on_k10_find_what_they_found_without_it(self, monkeypatch):
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", 1)
+        # bound 1 only, and both the full box (prefix 1) and the sublattice
+        cases = [case for case in _SCREEN_CASES if case[1] == 1 and case[2] in (1, 20)]
+        seen = self._chunks(monkeypatch, cases)
+        assert {len(fixed) for fixed, _, _ in seen} == {5}
+        assert all(got == whole for _, got, whole in seen)
+        assert any(got for _, got, _ in seen)
+
+    def test_refused_pairs_have_a_witness_on_the_row(self):
+        for slope, bound, prefix in _SCREEN_CASES:
+            tops = verify._examined_region(Sector(parse_slope(slope)), prefix)
+            even, b = verify._has_triangle(tops), 2 * bound
+            table = verify._axis_table(len(tops), b, even, np.int32)
+            assert (verify._axis_table(len(tops), b, even, np.int64) == table).all()
+            for k20, k10 in itertools.product(range(-b, b + 1), repeat=2):
+                row = [k20 * x * x + k10 * x for x in range(len(tops))]
+                witness = (len(set(row)) < len(row) or min(row) < -b
+                           or (not even and any(value % 2 for value in row)))
+                assert table[k20 + b, k10 + b] == (not witness), (slope, prefix, k20, k10)
+
+    def test_a_chunk_with_every_k10_refused_screens_nothing(self, monkeypatch):
+        chunk, refused = verify._search_chunk, []
+
+        def spy(fixed):
+            bound = verify._WORK["bound"]
+            k10s = [k10 + bound for grid in verify._chunk_grids(verify._WORK["cosets"], fixed)
+                    for k10 in grid[3]]
+            if not verify._WORK["axis"][fixed[0] + bound, k10s].any():
+                with monkeypatch.context() as patch:
+                    patch.setattr(verify, "_screen", None)  # a screen would raise
+                    assert chunk(fixed) == []
+                refused.append(fixed)
+            return chunk(fixed)
+
+        monkeypatch.setattr(verify, "_search_chunk", spy)
+        # the bench sweeps: every chunk with k20 < 0, and only those
+        for slope, bound, count in (("1/3", 3, 42), ("1", 2, 20)):
+            refused.clear()
+            search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1)
+            assert len(refused) == count and all(fixed[0] < 0 for fixed in refused), slope
+
+    def test_progress_totals_of_the_bench_sweeps(self):
+        for slope, bound, chunks in (("1/3", 3, 91), ("1", 2, 45)):
+            seen = []
+            search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1,
+                             progress=lambda done, total: seen.append((done, total)))
+            assert seen == [(done, chunks) for done in range(1, chunks + 1)], slope
+
+
 def _bounds(degree, bound):
     """Even numerator bounds per column: a linear sweep pins k20, k11, k02 to 0."""
     return (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
