@@ -49,28 +49,37 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    lattice point (k20*(x^2 + x), k11*xy and k02*(y^2 + y) are even there),
    so only the full-box fallback tests parity.  The full screen also needs
    {0..prefix-1} to occur, so 0 occurs and k00 = -min W: each surviving
-   shape is one candidate.  First, a table made once per sweep runs these
-   tests on the region's y = 0 row, where W = k20*x^2 + k10*x whatever
-   k11, k02 and k01: a pair (k20, k10) that fails there fails the whole
-   region for every shape that holds it, so each chunk drops it from its
-   grids.  The screens then run on the first 48 region points, then on the
-   first 512, then on the whole region, where the coverage count runs
-   before the sort that tests distinctness.
+   shape is one candidate, and exactly prefix points have
+   W < 2*prefix - k00 <= 2*prefix.  The tests run in four steps:
+   - the region's y = 0 row, where W = k20*x^2 + k10*x whatever k11, k02
+     and k01: a pair (k20, k10) that fails there fails the whole region
+     for every shape that holds it, so each chunk drops it from its grids;
+   - the first 48 region points;
+   - one lower bound per column: on column x with top t,
+     W >= L_x = k20*x^2 + k10*x + min(0, k02)*t^2 + min(0, k11*x + k01)*t,
+     so each of the prefix points lies in a column with L_x < 2*prefix,
+     and a shape whose such columns hold fewer points fails coverage;
+   - the whole region, where the coverage count runs before the sort that
+     tests distinctness.
 3. Values are built from the monomial rows x^2, xy, y^2, x and y of the
    region, computed once per search.  A chunk fixes k20 and k11, whose
-   terms make one base row.  The 48-point screen broadcasts over each
-   coset's grid of (k02, k10, k01) the products of each column's values
-   with its monomial row; the later screens multiply and add the rows of
-   the shapes that are left, in batches of about _SLICE_BYTES of values.
-   With M the largest monomial on the region, |2f| <= 6*(2*bound)*M, which
-   also bounds W and -min W, and the coverage count compares W with
-   2*prefix - k00: the rows are int32 when 6*(2*bound)*M and 2*prefix are
-   both below 2^31, which keeps all arithmetic exact, and int64 otherwise.
+   terms make one base row, and its k20's row of the y = 0 test.  The
+   48-point screen broadcasts over each coset's grid of (k02, k10, k01) the
+   products of each column's values with its monomial row.  The column
+   screen adds one row per swept column of three small tables, one per term
+   of L, and weighs each column with L_x < 2*prefix by its height.  The
+   whole-region screen multiplies and adds the rows of the shapes that are
+   left.  Both work in batches of about _SLICE_BYTES of values.  With M the
+   largest monomial on the region, |2f| <= 6*(2*bound)*M, which also bounds
+   W, -min W and L, and the coverage count compares W with 2*prefix - k00:
+   the rows are int32 when 6*(2*bound)*M and 2*prefix are both below 2^31,
+   which keeps all arithmetic exact, and int64 otherwise.
 
 The box is cut into chunks of at most _CHUNK_ROWS candidates (shapes times
 their k00 range) unless a chunk is a single shape; chunks are never keyed on
 k00.  So a search holds the region's monomial rows, 5 values per point
-whatever the bound, and a chunk's grid and batches.  Results are
+whatever the bound, one y = 0 row and three column tables of
+(4*bound + 1) * columns values, and a chunk's grid and batches.  Results are
 deterministic regardless of worker count: survivors are re-sorted.
 """
 
@@ -411,7 +420,6 @@ class SearchReport:
 
 
 _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
-_MIDDLE_POINTS = 512  # second tier, on the rows that pass the first
 _SLICE_BYTES = 1 << 21  # bytes of values per batch of the later tiers, to cap their size
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
@@ -482,30 +490,63 @@ def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
     return np.stack([xs * xs, xs * ys, ys * ys, xs, ys])
 
 
-def _axis_table(columns: int, bound: int, even: bool, dtype) -> np.ndarray:
-    """Whether each pair (k20, k10) passes, at [k20 + bound, k10 + bound],
-    what _screen tests without a prefix, on the region's y = 0 row: values
-    no lower than -bound, even unless `even` says they are known to be, and
-    pairwise distinct.
+def _axis_row(k20: int, columns: int, bound: int, even: bool, dtype) -> np.ndarray:
+    """Whether each k10 passes beside k20, at [k10 + bound], what _screen
+    tests without a prefix, on the region's y = 0 row: values no lower than
+    -bound, even unless `even` says they are known to be, and pairwise
+    distinct.
 
     The row holds the first point (x, 0) of every column, where a shape's W
     is k20*x^2 + k10*x whatever k11, k02 and k01.  The row is part of the
-    region, so a pair the table refuses fails the whole-region screen for
-    every shape that holds it.  Built one k20 at a time, in the dtype of the
-    region's rows, as |W| <= 2*bound*M there.
+    region, so a pair the row refuses fails the whole-region screen for
+    every shape that holds it.  Made in the dtype of the region's rows, as
+    |W| <= 2*bound*M there.
     """
     xs = np.arange(columns, dtype=dtype)
-    ks = np.arange(-bound, bound + 1, dtype=dtype)
-    linear = np.multiply.outer(ks, xs)  # k10*x, one row per k10
-    squares = xs * xs
-    table = np.empty((len(ks), len(ks)), dtype=bool)
-    for row, k20 in zip(table, ks):
-        values = linear + k20 * squares
-        values.sort(axis=1)
-        row[:] = (values[:, 0] >= -bound) & (values[:, 1:] != values[:, :-1]).all(axis=1)
-        if not even:
-            row &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
-    return table
+    values = np.multiply.outer(np.arange(-bound, bound + 1, dtype=dtype), xs)  # k10*x
+    values += k20 * xs * xs
+    values.sort(axis=1)
+    row = (values[:, 0] >= -bound) & (values[:, 1:] != values[:, :-1]).all(axis=1)
+    if not even:
+        row &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
+    return row
+
+
+def _column_terms(k20: int, k11: int, bound: int, tops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The lower bound L_x of a shape's W on each column x of the region,
+    with top t, as three terms, one per swept column (k02, k10, k01): a table
+    per term, with the row of value k at [k + bound] and one column per
+    region column.
+
+    For 0 <= y <= t, W(x, y) = k20*x^2 + k10*x + k02*y^2 + (k11*x + k01)*y,
+    and k02*y^2 >= min(0, k02)*t^2 and (k11*x + k01)*y >= min(0, k11*x + k01)*t,
+    so W(x, y) >= L_x, the sum of the three terms.  Each term is at most
+    2*bound*M in size, for M the largest monomial of the region (x*t is one),
+    so |L_x| <= 5*bound*M is exact in the dtype of the region's rows.
+    """
+    xs = np.arange(len(tops), dtype=tops.dtype)
+    ks = np.arange(-bound, bound + 1, dtype=tops.dtype)
+    return (np.multiply.outer(np.minimum(ks, 0), tops * tops),
+            np.multiply.outer(ks, xs) + k20 * xs * xs,
+            np.minimum(np.add.outer(ks, k11 * xs), 0) * tops)
+
+
+def _column_screen(picks: np.ndarray, k20: int, k11: int) -> np.ndarray:
+    """Exact filter of shapes by the lower bound of W on each column (see
+    _column_terms): the indices of the rows of `picks`, the shapes' swept
+    columns (k02, k10, k01), whose columns with L_x < 2*prefix hold at least
+    prefix points.  The others fail the whole-region screen's coverage
+    count (point 2 of the module docstring)."""
+    bound, heights, prefix = _WORK["bound"], _WORK["heights"], _WORK["prefix"]
+    terms = _column_terms(k20, k11, bound, _WORK["tops"])
+    rows = (picks + bound).T
+    kept = []
+    for s in _slices(len(picks), len(heights), heights.itemsize):
+        low = terms[0].take(rows[0, s], axis=0) + terms[1].take(rows[1, s], axis=0)
+        low += terms[2].take(rows[2, s], axis=0)
+        capacity = (low < 2 * prefix) @ heights  # exact: an integer matmul, with no BLAS
+        kept.append(s.start + np.flatnonzero(capacity >= prefix))
+    return np.concatenate(kept)
 
 
 def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
@@ -529,12 +570,12 @@ def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
     return kept
 
 
-def _tier_values(picks: np.ndarray, base: np.ndarray, points: int) -> np.ndarray:
-    """W at the first `points` region points of the shapes whose swept
-    columns (k02, k10, k01) are `picks`, one row per shape."""
+def _tier_values(picks: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """W at every region point of the shapes whose swept columns (k02, k10,
+    k01) are `picks`, one row per shape."""
     # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
-    values = np.einsum("ij,jk->ik", picks, _WORK["rows"][2:, :points])
-    values += base[:points]
+    values = np.einsum("ij,jk->ik", picks, _WORK["rows"][2:])
+    values += base
     return values
 
 
@@ -547,12 +588,16 @@ def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Screen one chunk of the coefficient lattice; returns surviving numerator tuples.
 
-    The axis table (see _axis_table) cuts each grid's k10 axis to the values
-    that pass beside the chunk's k20, a fixed k10 included, before any value
-    is made; a chunk left with no grid returns at once."""
+    The axis row of the chunk's k20 (see _axis_row) cuts each grid's k10
+    axis to the values that pass, a fixed k10 included, before any value is
+    made; a chunk left with no grid returns at once.  Chunks come in runs of
+    one k20, so only the current k20's row is kept."""
     rows, even, bound = _WORK["rows"], _WORK["even"], _WORK["bound"]
     k20, k11 = fixed[:2]
-    passing = _WORK["axis"][k20 + bound]  # by k10 + bound
+    axis = _WORK.get("axis")
+    if axis is None or axis[0] != k20:
+        axis = _WORK["axis"] = (k20, _axis_row(k20, len(_WORK["tops"]), bound, even, rows.dtype))
+    passing = axis[1]  # by k10 + bound
     grids = []
     for grid in _chunk_grids(_WORK["cosets"], fixed):
         axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[2:]]
@@ -572,16 +617,13 @@ def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
         index = np.unravel_index(kept, values.shape[:3])
         picks.append(np.column_stack([a[i] for a, i in zip(axes, index)]))
     picks = np.concatenate(picks)
-    if not picks.size:
-        return []
-    # later tiers: the survivors' values by multiply-add, in batches of bounded size
-    picks = np.concatenate([picks[s][_screen(_tier_values(picks[s], base, _MIDDLE_POINTS),
-                                             even, None)]
-                            for s in _slices(len(picks), _MIDDLE_POINTS, base.itemsize)])
+    if len(picks):  # second tier: the lower bound of W on each column
+        picks = picks[_column_screen(picks, k20, k11)]
+    # whole region: the survivors' values by multiply-add, in batches of bounded size
     points = rows.shape[1]
     out: list[tuple[int, ...]] = []
     for s in _slices(len(picks), points, base.itemsize):
-        values = _tier_values(picks[s], base, points)
+        values = _tier_values(picks[s], base)
         kept = _screen(values, even, _WORK["prefix"])
         lo = -values[kept].min(axis=1)
         out.extend((k20, k11, *shape, k00)
@@ -626,7 +668,8 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
         "prefix": prefix,
         "even": sublattice,  # every value of a sublattice shape is even
         "rows": _region_rows(tops, dtype),
-        "axis": _axis_table(len(tops), bound, sublattice, dtype),
+        "tops": np.array(tops, dtype=dtype),
+        "heights": np.array(tops, dtype=dtype) + 1,
     }
     plan = _chunk_plan(cosets)
     total = sum(math.prod(len(r) for r in head) for head in plan)

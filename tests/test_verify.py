@@ -1,6 +1,8 @@
 import ast
 import itertools
 import json
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -496,38 +498,73 @@ _SCREEN_CASES = [(slope, 1, prefix) for slope in ("1", "1/2", "2", "5", "3/2", "
 
 
 def _screen_reports(monkeypatch):
-    """Every report of the cases, and the dtypes the screens saw."""
-    dtypes = set()
-    screen = verify._screen
+    """Every report of the cases, the dtypes the screens saw, and per sweep
+    (slope, bound, prefix) the shapes that the column screen dropped."""
+    dtypes, dropped = set(), {}
+    screen, column_screen = verify._screen, verify._column_screen
 
     def spy(values, even, prefix):
         dtypes.add(values.dtype)
         return screen(values, even, prefix)
 
+    def column_spy(picks, k20, k11):
+        dtypes.add(picks.dtype)
+        kept = column_screen(picks, k20, k11)
+        dropped[case].extend((k20, k11, *shape) for shape in np.delete(picks, kept, 0).tolist())
+        return kept
+
     monkeypatch.setattr(verify, "_screen", spy)
-    reports = [sweep(Sector(parse_slope(slope)), bound, prefix, workers=1)
-               for slope, bound, prefix in _SCREEN_CASES
-               for sweep in (search_quadratic, linear_impossibility_check)]
-    return reports, dtypes
+    monkeypatch.setattr(verify, "_column_screen", column_spy)
+    reports = []
+    for case in _SCREEN_CASES:
+        dropped.setdefault(case, [])
+        slope, bound, prefix = case
+        for sweep in (search_quadratic, linear_impossibility_check):
+            reports.append(sweep(Sector(parse_slope(slope)), bound, prefix, workers=1))
+    return reports, dtypes, dropped
+
+
+def _assert_fail_the_whole_region(dropped):
+    """Each shape fails the whole-region screen, computed on every region
+    point: no k00 in the box makes its values nonnegative, distinct and
+    cover {0..prefix-1}.  Parity is not asked, so the test is no weaker."""
+    for (slope, bound, prefix), shapes in dropped.items():
+        tops = verify._examined_region(Sector(parse_slope(slope)), prefix)
+        points = np.array([(x, y) for x, top in enumerate(tops) for y in range(top + 1)])
+        xs, ys = points.T.astype(np.int64)
+        monomials = np.stack([xs * xs, xs * ys, ys * ys, xs, ys])
+        for start in range(0, len(shapes), 256):
+            values = np.array(shapes[start:start + 256], dtype=np.int64) @ monomials
+            lo = -values.min(axis=1)  # the only k00 that can cover 0, as W(0, 0) = 0
+            covered = (values < (2 * prefix - lo)[:, None]).sum(axis=1) == prefix
+            for row in values[(lo <= 2 * bound) & covered]:
+                assert len(np.unique(row)) < len(row), (slope, bound, prefix)
 
 
 class TestScreenVariants:
-    """The int64 screen and one-row batches give the reports of the default screen."""
+    """The int64 screen and one-row batches give the reports of the default
+    screen, and under each the column screen drops only failing shapes."""
 
     @pytest.fixture(scope="class")
     def default(self):
         with pytest.MonkeyPatch.context() as patch:
-            reports, dtypes = _screen_reports(patch)
+            return _screen_reports(patch)
+
+    def test_default_screen(self, default):
+        _, dtypes, dropped = default
         assert dtypes == {np.dtype(np.int32)}  # every case fits the int32 bound
-        return reports
+        assert len(dropped[("1/3", 3, 1000)]) == 8202 - 66
+        _assert_fail_the_whole_region(dropped)
 
     @pytest.mark.parametrize("name, value, dtype", [("_INT32_LIMIT", 0, np.int64),
                                                     ("_SLICE_BYTES", 1, np.int32)])
     def test_same_reports(self, monkeypatch, default, name, value, dtype):
         monkeypatch.setattr(verify, name, value)
-        reports, dtypes = _screen_reports(monkeypatch)
+        reports, dtypes, dropped = _screen_reports(monkeypatch)
         assert dtypes == {np.dtype(dtype)}
-        assert reports == default
+        assert reports == default[0]
+        assert dropped == default[2]
+        _assert_fail_the_whole_region(dropped)
 
 
 class TestAxisScreen:
@@ -541,7 +578,8 @@ class TestAxisScreen:
         def spy(fixed):
             got = chunk(fixed)
             with monkeypatch.context() as patch:
-                patch.setitem(verify._WORK, "axis", np.ones_like(verify._WORK["axis"]))
+                every = np.ones(2 * verify._WORK["bound"] + 1, dtype=bool)
+                patch.setitem(verify._WORK, "axis", (fixed[0], every))
                 seen.append((fixed, got, chunk(fixed)))
             return got
 
@@ -569,24 +607,29 @@ class TestAxisScreen:
         for slope, bound, prefix in _SCREEN_CASES:
             tops = verify._examined_region(Sector(parse_slope(slope)), prefix)
             even, b = verify._has_triangle(tops), 2 * bound
-            table = verify._axis_table(len(tops), b, even, np.int32)
-            assert (verify._axis_table(len(tops), b, even, np.int64) == table).all()
-            for k20, k10 in itertools.product(range(-b, b + 1), repeat=2):
-                row = [k20 * x * x + k10 * x for x in range(len(tops))]
-                witness = (len(set(row)) < len(row) or min(row) < -b
-                           or (not even and any(value % 2 for value in row)))
-                assert table[k20 + b, k10 + b] == (not witness), (slope, prefix, k20, k10)
+            for k20 in range(-b, b + 1):
+                passing = verify._axis_row(k20, len(tops), b, even, np.int32)
+                assert (verify._axis_row(k20, len(tops), b, even, np.int64) == passing).all()
+                for k10 in range(-b, b + 1):
+                    row = [k20 * x * x + k10 * x for x in range(len(tops))]
+                    witness = (len(set(row)) < len(row) or min(row) < -b
+                               or (not even and any(value % 2 for value in row)))
+                    assert passing[k10 + b] == (not witness), (slope, prefix, k20, k10)
 
     def test_a_chunk_with_every_k10_refused_screens_nothing(self, monkeypatch):
         chunk, refused = verify._search_chunk, []
 
         def spy(fixed):
-            bound = verify._WORK["bound"]
-            k10s = [k10 + bound for grid in verify._chunk_grids(verify._WORK["cosets"], fixed)
+            work = verify._WORK
+            bound = work["bound"]
+            k10s = [k10 + bound for grid in verify._chunk_grids(work["cosets"], fixed)
                     for k10 in grid[3]]
-            if not verify._WORK["axis"][fixed[0] + bound, k10s].any():
+            passing = verify._axis_row(fixed[0], len(work["tops"]), bound, work["even"],
+                                       work["rows"].dtype)
+            if not passing[k10s].any():
                 with monkeypatch.context() as patch:
-                    patch.setattr(verify, "_screen", None)  # a screen would raise
+                    for screen in ("_screen", "_column_screen"):
+                        patch.setattr(verify, screen, None)  # a screen would raise
                     assert chunk(fixed) == []
                 refused.append(fixed)
             return chunk(fixed)
@@ -598,12 +641,84 @@ class TestAxisScreen:
             search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1)
             assert len(refused) == count and all(fixed[0] < 0 for fixed in refused), slope
 
+    def test_a_wide_box_starts_in_small_memory(self):
+        # the axis row of a k20 is made when its first chunk runs, so the
+        # first chunk of bound 2000 (8,001 numerators a side) starts in
+        # O(bound * columns) memory; a whole table would be 61 MiB.  Most of
+        # the peak is the chunk keys' ranges, held as tuples by itertools.product.
+        class Stop(Exception):
+            pass
+
+        def stop(done, total):
+            raise Stop
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                search_quadratic(I1, 2000, 1, workers=1, progress=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_progress_totals_of_the_bench_sweeps(self):
         for slope, bound, chunks in (("1/3", 3, 91), ("1", 2, 45)):
             seen = []
             search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1,
                              progress=lambda done, total: seen.append((done, total)))
             assert seen == [(done, chunks) for done in range(1, chunks + 1)], slope
+
+
+# a numerator bound and a shape (k20, k11, k02, k10, k01) within it
+_BOUNDED_SHAPES = st.integers(1, 6).flatmap(lambda bound: st.tuples(
+    st.just(bound), st.lists(st.integers(-bound, bound), min_size=5, max_size=5)))
+
+
+class TestColumnScreen:
+    """The lower bound of W on each column, which _search_chunk screens by
+    after the 48-point screen."""
+
+    # k02 < 0, k02 > 0, k11*x + k01 < 0 on some columns and > 0 on others
+    @given(st.sampled_from([Slope(1, 1), Slope(1, 3), Slope(2, 1), Slope(3, 2), Slope(2, 5)]),
+           st.integers(1, 40), _BOUNDED_SHAPES)
+    @example(Slope(1, 3), 20, (6, [0, 0, 4, 0, 0]))
+    @example(Slope(1, 3), 20, (6, [0, 0, -4, 0, 0]))
+    @example(Slope(1, 3), 20, (6, [0, 0, 0, 0, 4]))
+    @example(Slope(1, 3), 20, (6, [0, -4, 0, 0, 3]))
+    def test_is_a_lower_bound_of_each_column(self, slope, prefix, bounded):
+        bound, (k20, k11, k02, k10, k01) = bounded
+        tops = verify._examined_region(Sector(slope), prefix)
+        for dtype in (np.int32, np.int64):
+            terms = verify._column_terms(k20, k11, bound, np.array(tops, dtype=dtype))
+            low = terms[0][k02 + bound] + terms[1][k10 + bound] + terms[2][k01 + bound]
+            for x, top in enumerate(tops):
+                least = min(k20 * x * x + k11 * x * y + k02 * y * y + k10 * x + k01 * y
+                            for y in range(top + 1))
+                assert low[x] <= least, (x, top)
+
+    def test_funnel_of_the_bench_sweeps(self, monkeypatch):
+        counts = Counter()
+        screen, column_screen = verify._screen, verify._column_screen
+
+        def count(tier, rows, kept):
+            counts[tier, "in"] += len(rows)
+            counts[tier, "out"] += len(kept)
+            return kept
+
+        monkeypatch.setattr(verify, "_screen", lambda values, even, prefix: count(
+            "48" if prefix is None else "whole", values, screen(values, even, prefix)))
+        monkeypatch.setattr(verify, "_column_screen", lambda picks, k20, k11: count(
+            "column", picks, column_screen(picks, k20, k11)))
+        # shapes in the 48-point screen, then out of it, the column screen and the whole region
+        for slope, bound, funnel in (("1/3", 3, (19040, 8202, 66, 1)),
+                                     ("1", 2, (2870, 159, 17, 2))):
+            counts.clear()
+            report = search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1)
+            assert counts["48", "out"] == counts["column", "in"], slope
+            assert counts["column", "out"] == counts["whole", "in"], slope
+            assert (counts["48", "in"], counts["48", "out"], counts["column", "out"],
+                    counts["whole", "out"]) == funnel, slope
+            assert len(report.survivors) == funnel[3]
 
 
 def _bounds(degree, bound):
