@@ -292,7 +292,7 @@ def _cmd_search(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
     _check_region(sector, args.prefix)
 
-    def progress(done, total):  # called once for each chunk done
+    def progress(done, total):  # called once per (k20, k11) key swept, in order
         if done == total or done % max(1, total // 10) == 0:
             print(f"search: {done}/{total} chunks", file=sys.stderr)
 

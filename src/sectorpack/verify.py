@@ -62,24 +62,29 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    - the whole region, where the coverage count runs before the sort that
      tests distinctness.
 3. Values are built from the monomial rows x^2, xy, y^2, x and y of the
-   region, computed once per search.  A chunk fixes k20 and k11, whose
-   terms make one base row, and its k20's row of the y = 0 test.  The
-   48-point screen broadcasts over each coset's grid of (k02, k10, k01) the
+   region, computed once per search.  A chunk fixes k20, whose term makes
+   one base row, and reads its k20's row of the y = 0 test; it sweeps k11
+   with the other columns, unless the plan fixes k11 too.  The 48-point
+   screen broadcasts over each coset's grid of (k11, k02, k10, k01) the
    products of each column's values with its monomial row.  The column
-   screen adds one row per swept column of three small tables, one per term
-   of L, and weighs each column with L_x < 2*prefix by its height.  The
-   whole-region screen multiplies and adds the rows of the shapes that are
-   left.  Both work in batches of about _SLICE_BYTES of values.  With M the
-   largest monomial on the region, |2f| <= 6*(2*bound)*M, which also bounds
-   W, -min W and L, and the coverage count compares W with 2*prefix - k00:
-   the rows are int32 when 6*(2*bound)*M and 2*prefix are both below 2^31,
-   which keeps all arithmetic exact, and int64 otherwise.
+   screen adds one row of each of three small tables, one per term of L,
+   and weighs each column with L_x < 2*prefix by its height: the k02 table
+   is made once per sweep, the k10 one once per k20 and the k01 one per
+   chunk, for the chunk's k11 values.  The whole-region screen multiplies
+   and adds the rows of the shapes that are left.  Both work in batches of
+   about _SLICE_BYTES of values.  With M the largest monomial on the
+   region, |2f| <= 6*(2*bound)*M, which also bounds W, -min W and L, and
+   the coverage count compares W with 2*prefix - k00: the rows are int32
+   when 6*(2*bound)*M and 2*prefix are both below 2^31, which keeps all
+   arithmetic exact, and int64 otherwise.
 
 The box is cut into chunks of at most _CHUNK_ROWS candidates (shapes times
 their k00 range) unless a chunk is a single shape; chunks are never keyed on
-k00.  So a search holds the region's monomial rows, 5 values per point
-whatever the bound, one y = 0 row and three column tables of
-(4*bound + 1) * columns values, and a chunk's grid and batches.  Results are
+k00.  A chunk holds a whole k20 when every k20 fits, and progress counts the
+(k20, k11) keys whatever the chunk.  So a search holds the region's monomial
+rows, 5 values per point whatever the bound, one y = 0 row, a k02 and a k10
+table of (4*bound + 1) * columns values, a k01 table of that size per k11
+value of the chunk, and a chunk's grid and batches.  Results are
 deterministic regardless of worker count: survivors are re-sorted.
 """
 
@@ -420,7 +425,10 @@ class SearchReport:
 
 
 _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
-_SLICE_BYTES = 1 << 21  # bytes of values per batch of the later tiers, to cap their size
+# bytes of values per batch of the later tiers: a batch stays in cache, and
+# below the C allocator's usual 128 KiB mmap threshold it reuses heap pages
+# rather than faulting in fresh ones
+_SLICE_BYTES = 1 << 17
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
 
@@ -456,12 +464,14 @@ def _chunk_plan(cosets: list[tuple[range, ...]]) -> dict[tuple[range, ...], int]
     """Boxes of leading-column values -> candidates per chunk.
 
     Each point of a box keys one chunk.  Two cosets have equal or disjoint
-    leading ranges, so the boxes are disjoint.  The sweep splits on (k20,
-    k11) at least, and on further shape columns while a chunk would exceed
-    _CHUNK_ROWS candidates.  k00 is solved by the screen, never swept, so no
-    chunk is keyed on it; a chunk holds at most _CHUNK_ROWS shape rows.
+    leading ranges, so the boxes are disjoint.  A chunk holds one k20 with
+    all its shapes when every k20's candidates fit _CHUNK_ROWS; otherwise
+    the sweep splits on (k20, k11), and on further shape columns while a
+    chunk would exceed _CHUNK_ROWS candidates.  k00 is solved by the screen,
+    never swept, so no chunk is keyed on it; a chunk holds at most
+    _CHUNK_ROWS shape rows.
     """
-    for depth in range(2, _SHAPE_COLUMNS + 1):
+    for depth in range(1, _SHAPE_COLUMNS + 1):
         plan: dict[tuple[range, ...], int] = {}
         for box in cosets:
             head = box[:depth]
@@ -476,7 +486,8 @@ def _chunk_grids(cosets: list[tuple[range, ...]],
     """The shape rows (k20, k11, k02, k10, k01) of one chunk as grids, one
     per swept coset (see _cosets) that holds the `fixed` leading columns: a
     range per column, one value for a fixed column and the coset's range for
-    the others.  The screen solves k00."""
+    the others.  Every coset sweeps one k11 range, so the grids of a chunk
+    share their k11 range.  The screen solves k00."""
     return [tuple(range(v, v + 1) for v in fixed) + box[len(fixed):_SHAPE_COLUMNS]
             for box in cosets if all(v in r for v, r in zip(fixed, box))]
 
@@ -490,61 +501,76 @@ def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
     return np.stack([xs * xs, xs * ys, ys * ys, xs, ys])
 
 
-def _axis_row(k20: int, columns: int, bound: int, even: bool, dtype) -> np.ndarray:
+# The lower bound L_x of a shape's W on each column x of the region, with top
+# t, is the sum of three terms, one per table below, with the row of value k
+# of a swept column at [k + bound] and one column per region column.  For
+# 0 <= y <= t, W(x, y) = k20*x^2 + k10*x + k02*y^2 + (k11*x + k01)*y, and
+# k02*y^2 >= min(0, k02)*t^2 and (k11*x + k01)*y >= min(0, k11*x + k01)*t, so
+# W(x, y) >= L_x.  Each term is at most 2*bound*M in size, for M the largest
+# monomial of the region (x*t is one), so |L_x| <= 5*bound*M is exact in the
+# dtype of the region's rows.  The k02 table is made once per sweep, the k10
+# one once per k20 and the k01 one per chunk, for the chunk's k11 values.
+
+def _k02_term(bound: int, tops: np.ndarray) -> np.ndarray:
+    """min(0, k02)*t^2, shape (2*bound + 1, columns)."""
+    ks = np.arange(-bound, bound + 1, dtype=tops.dtype)
+    return np.multiply.outer(np.minimum(ks, 0), tops * tops)
+
+
+def _k10_term(k20: int, bound: int, tops: np.ndarray) -> np.ndarray:
+    """k20*x^2 + k10*x, shape (2*bound + 1, columns): also W on the region's
+    y = 0 row, which is the first point (x, 0) of each column."""
+    xs = np.arange(len(tops), dtype=tops.dtype)
+    values = np.multiply.outer(np.arange(-bound, bound + 1, dtype=tops.dtype), xs)
+    values += k20 * xs * xs
+    return values
+
+
+def _k01_term(k11s: range, bound: int, tops: np.ndarray) -> np.ndarray:
+    """min(0, k11*x + k01)*t, shape (len(k11s), 2*bound + 1, columns), with
+    the rows of the i-th value of k11s at [i]."""
+    xs = np.arange(len(tops), dtype=tops.dtype)
+    ks = np.arange(-bound, bound + 1, dtype=tops.dtype)
+    slant = np.multiply.outer(np.arange(k11s.start, k11s.stop, k11s.step, dtype=tops.dtype), xs)
+    return np.minimum(slant[:, None, :] + ks[:, None], 0) * tops
+
+
+def _axis_row(term: np.ndarray, bound: int, even: bool) -> np.ndarray:
     """Whether each k10 passes beside k20, at [k10 + bound], what _screen
     tests without a prefix, on the region's y = 0 row: values no lower than
     -bound, even unless `even` says they are known to be, and pairwise
-    distinct.
+    distinct.  `term` is _k10_term of that k20.
 
     The row holds the first point (x, 0) of every column, where a shape's W
     is k20*x^2 + k10*x whatever k11, k02 and k01.  The row is part of the
     region, so a pair the row refuses fails the whole-region screen for
-    every shape that holds it.  Made in the dtype of the region's rows, as
-    |W| <= 2*bound*M there.
+    every shape that holds it.
     """
-    xs = np.arange(columns, dtype=dtype)
-    values = np.multiply.outer(np.arange(-bound, bound + 1, dtype=dtype), xs)  # k10*x
-    values += k20 * xs * xs
-    values.sort(axis=1)
+    values = np.sort(term, axis=1)
     row = (values[:, 0] >= -bound) & (values[:, 1:] != values[:, :-1]).all(axis=1)
     if not even:
         row &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
     return row
 
 
-def _column_terms(k20: int, k11: int, bound: int, tops: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The lower bound L_x of a shape's W on each column x of the region,
-    with top t, as three terms, one per swept column (k02, k10, k01): a table
-    per term, with the row of value k at [k + bound] and one column per
-    region column.
-
-    For 0 <= y <= t, W(x, y) = k20*x^2 + k10*x + k02*y^2 + (k11*x + k01)*y,
-    and k02*y^2 >= min(0, k02)*t^2 and (k11*x + k01)*y >= min(0, k11*x + k01)*t,
-    so W(x, y) >= L_x, the sum of the three terms.  Each term is at most
-    2*bound*M in size, for M the largest monomial of the region (x*t is one),
-    so |L_x| <= 5*bound*M is exact in the dtype of the region's rows.
-    """
-    xs = np.arange(len(tops), dtype=tops.dtype)
-    ks = np.arange(-bound, bound + 1, dtype=tops.dtype)
-    return (np.multiply.outer(np.minimum(ks, 0), tops * tops),
-            np.multiply.outer(ks, xs) + k20 * xs * xs,
-            np.minimum(np.add.outer(ks, k11 * xs), 0) * tops)
-
-
-def _column_screen(picks: np.ndarray, k20: int, k11: int) -> np.ndarray:
+def _column_screen(picks: np.ndarray, k10_term: np.ndarray, k11s: range) -> np.ndarray:
     """Exact filter of shapes by the lower bound of W on each column (see
-    _column_terms): the indices of the rows of `picks`, the shapes' swept
-    columns (k02, k10, k01), whose columns with L_x < 2*prefix hold at least
-    prefix points.  The others fail the whole-region screen's coverage
-    count (point 2 of the module docstring)."""
+    the tables from _k02_term on): the indices of the rows of `picks`, the shapes' swept
+    columns (k11, k02, k10, k01) with k11 in k11s, whose columns with
+    L_x < 2*prefix hold at least prefix points.  The others fail the
+    whole-region screen's coverage count (point 2 of the module docstring).
+    `k10_term` is _k10_term of the shapes' k20."""
     bound, heights, prefix = _WORK["bound"], _WORK["heights"], _WORK["prefix"]
-    terms = _column_terms(k20, k11, bound, _WORK["tops"])
-    rows = (picks + bound).T
+    width = 2 * bound + 1
+    k01_term = _k01_term(k11s, bound, _WORK["tops"]).reshape(-1, len(heights))
+    slant = (picks[:, 0] - k11s.start) // k11s.step * width + picks[:, 3] + bound
+    rows = (picks[:, 1:3] + bound).T
     kept = []
     for s in _slices(len(picks), len(heights), heights.itemsize):
-        low = terms[0].take(rows[0, s], axis=0) + terms[1].take(rows[1, s], axis=0)
-        low += terms[2].take(rows[2, s], axis=0)
-        capacity = (low < 2 * prefix) @ heights  # exact: an integer matmul, with no BLAS
+        low = _WORK["k02_term"].take(rows[0, s], axis=0) + k10_term.take(rows[1, s], axis=0)
+        low += k01_term.take(slant[s], axis=0)
+        # exact: einsum adds integers in their own dtype, with no BLAS
+        capacity = np.einsum("ij,j->i", low < 2 * prefix, heights)
         kept.append(s.start + np.flatnonzero(capacity >= prefix))
     return np.concatenate(kept)
 
@@ -571,10 +597,10 @@ def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
 
 
 def _tier_values(picks: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """W at every region point of the shapes whose swept columns (k02, k10,
-    k01) are `picks`, one row per shape."""
+    """W at every region point of the shapes whose swept columns (k11, k02,
+    k10, k01) are `picks`, one row per shape."""
     # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
-    values = np.einsum("ij,jk->ik", picks, _WORK["rows"][2:])
+    values = np.einsum("ij,jk->ik", picks, _WORK["rows"][1:])
     values += base
     return values
 
@@ -588,37 +614,43 @@ def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
 def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Screen one chunk of the coefficient lattice; returns surviving numerator tuples.
 
-    The axis row of the chunk's k20 (see _axis_row) cuts each grid's k10
-    axis to the values that pass, a fixed k10 included, before any value is
-    made; a chunk left with no grid returns at once.  Chunks come in runs of
-    one k20, so only the current k20's row is kept."""
+    A chunk fixes k20, and k11 and more when the plan splits further (see
+    _chunk_plan); each grid sweeps the rest, k11 included, with a fixed
+    column as a one-value range.  The axis row of the chunk's k20 (see
+    _axis_row) cuts each grid's k10 axis to the values that pass, a fixed
+    k10 included, before any value is made; a chunk left with no grid
+    returns at once.  Chunks come in runs of one k20, so only the current
+    k20's row and k10 table are kept."""
     rows, even, bound = _WORK["rows"], _WORK["even"], _WORK["bound"]
-    k20, k11 = fixed[:2]
+    k20 = fixed[0]
     axis = _WORK.get("axis")
     if axis is None or axis[0] != k20:
-        axis = _WORK["axis"] = (k20, _axis_row(k20, len(_WORK["tops"]), bound, even, rows.dtype))
+        term = _k10_term(k20, bound, _WORK["tops"])
+        axis = _WORK["axis"] = (k20, _axis_row(term, bound, even), term)
     passing = axis[1]  # by k10 + bound
     grids = []
     for grid in _chunk_grids(_WORK["cosets"], fixed):
-        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[2:]]
-        axes[1] = axes[1][passing[axes[1] + bound]]
-        if axes[1].size:
+        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[1:]]
+        axes[2] = axes[2][passing[axes[2] + bound]]
+        if axes[2].size:
             grids.append(axes)
+            k11s = grid[1]  # the same for every grid of the chunk
     if not grids:
         return []
-    base = k20 * rows[0] + k11 * rows[1]  # the chunk's x^2 and xy terms at each point
+    base = k20 * rows[0]  # the chunk's x^2 term at each point
     # first tier: the values of each coset grid are sums of per-axis terms
     first = base[:_SCREEN_POINTS]
     picks = []
     for axes in grids:
-        terms = [np.multiply.outer(a, row[:_SCREEN_POINTS]) for a, row in zip(axes, rows[2:])]
-        values = ((terms[0] + first)[:, None, None] + terms[1][:, None]) + terms[2]
+        terms = [np.multiply.outer(a, row[:_SCREEN_POINTS]) for a, row in zip(axes, rows[1:])]
+        values = ((((terms[0] + first)[:, None, None, None] + terms[1][:, None, None])
+                   + terms[2][:, None]) + terms[3])
         kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
-        index = np.unravel_index(kept, values.shape[:3])
+        index = np.unravel_index(kept, values.shape[:4])
         picks.append(np.column_stack([a[i] for a, i in zip(axes, index)]))
     picks = np.concatenate(picks)
     if len(picks):  # second tier: the lower bound of W on each column
-        picks = picks[_column_screen(picks, k20, k11)]
+        picks = picks[_column_screen(picks, axis[2], k11s)]
     # whole region: the survivors' values by multiply-add, in batches of bounded size
     points = rows.shape[1]
     out: list[tuple[int, ...]] = []
@@ -626,7 +658,7 @@ def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
         values = _tier_values(picks[s], base)
         kept = _screen(values, even, _WORK["prefix"])
         lo = -values[kept].min(axis=1)
-        out.extend((k20, k11, *shape, k00)
+        out.extend((k20, *shape, k00)
                    for shape, k00 in zip(picks[s][kept].tolist(), lo.tolist()))
     return out
 
@@ -662,35 +694,50 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     # lattice triangle, so with one in the region the screen would reject it
     sublattice = _has_triangle(tops)
     cosets = _cosets(bounds, sublattice)
+    tops_row = np.array(tops, dtype=dtype)
     payload = {
         "cosets": cosets,
         "bound": bound,  # the largest k00 of every coset
         "prefix": prefix,
         "even": sublattice,  # every value of a sublattice shape is even
         "rows": _region_rows(tops, dtype),
-        "tops": np.array(tops, dtype=dtype),
-        "heights": np.array(tops, dtype=dtype) + 1,
+        "tops": tops_row,
+        "heights": tops_row + 1,
+        "k02_term": _k02_term(bound, tops_row),
     }
     plan = _chunk_plan(cosets)
-    total = sum(math.prod(len(r) for r in head) for head in plan)
-    chunks = itertools.chain.from_iterable(itertools.product(*head) for head in plan)
+    # progress counts the (k20, k11, ...) keys of a plan split at least that
+    # far, so a chunk keyed on k20 alone ticks once per k11 that it holds
+    depth = max(2, len(next(iter(plan))))
+    ticked = {box[:depth] for box in cosets}
+    total = sum(math.prod(len(r) for r in head) for head in ticked)
 
-    workers = min(workers or os.cpu_count() or 1, total)  # no idle worker processes
+    def chunks() -> Iterator[tuple[int, ...]]:
+        return itertools.chain.from_iterable(itertools.product(*head) for head in plan)
+
+    def ticks(fixed: tuple[int, ...]) -> int:
+        return sum(math.prod(len(r) for r in head[len(fixed):]) for head in ticked
+                   if all(v in r for v, r in zip(fixed, head)))
+
+    def collect(parts: Iterator[tuple[tuple[int, ...], list]]) -> None:
+        done = 0
+        for fixed, part in parts:
+            found.extend(part)
+            if progress:
+                for done in range(done + 1, done + ticks(fixed) + 1):
+                    progress(done, total)
+
+    units = sum(math.prod(len(r) for r in head) for head in plan)
+    workers = min(workers or os.cpu_count() or 1, units)  # no idle worker processes
     found: list[tuple[int, ...]] = []
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_search_init,
                                   initargs=(payload,)) as pool:
-            for done, part in enumerate(pool.imap(_search_chunk, chunks), 1):
-                found.extend(part)
-                if progress:
-                    progress(done, total)
+            collect(zip(chunks(), pool.imap(_search_chunk, chunks())))
     else:
         _search_init(payload)
         try:
-            for done, fixed in enumerate(chunks, 1):
-                found.extend(_search_chunk(fixed))
-                if progress:
-                    progress(done, total)
+            collect((fixed, _search_chunk(fixed)) for fixed in chunks())
         finally:
             _WORK.clear()
     del payload  # the region's monomial rows are not needed by the certification below

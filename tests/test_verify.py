@@ -4,7 +4,7 @@ import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -415,9 +415,12 @@ class TestSearch:
         pooled = search_quadratic(I1, 1, 120, workers=64,
                                   progress=lambda done, total: totals.append(total))
         assert pooled == serial
-        assert started == [totals[-1]] and totals[-1] < 64
+        # a work unit is a chunk of the plan, and progress counts (k20, k11) keys
+        units = sum(prod(map(len, head))
+                    for head in verify._chunk_plan(verify._cosets(_bounds(2, 2), True)))
+        assert started == [min(64, units)] and units < totals[-1] < 64
         linear_impossibility_check(I1, 1, 120, workers=64)  # one chunk: no pool
-        assert started == [totals[-1]]
+        assert started == [units]
 
     def test_progress_callback(self):
         seen = []
@@ -507,10 +510,11 @@ def _screen_reports(monkeypatch):
         dtypes.add(values.dtype)
         return screen(values, even, prefix)
 
-    def column_spy(picks, k20, k11):
+    def column_spy(picks, k10_term, k11s):
         dtypes.add(picks.dtype)
-        kept = column_screen(picks, k20, k11)
-        dropped[case].extend((k20, k11, *shape) for shape in np.delete(picks, kept, 0).tolist())
+        kept = column_screen(picks, k10_term, k11s)
+        k20 = verify._WORK["axis"][0]
+        dropped[case].extend((k20, *shape) for shape in np.delete(picks, kept, 0).tolist())
         return kept
 
     monkeypatch.setattr(verify, "_screen", spy)
@@ -539,6 +543,24 @@ def _assert_fail_the_whole_region(dropped):
             covered = (values < (2 * prefix - lo)[:, None]).sum(axis=1) == prefix
             for row in values[(lo <= 2 * bound) & covered]:
                 assert len(np.unique(row)) < len(row), (slope, bound, prefix)
+
+
+def _count_tiers(monkeypatch):
+    """A Counter of the shapes into and out of each screen tier, keyed
+    (tier, "in") and (tier, "out"), filled by spies on the screens."""
+    counts = Counter()
+    screen, column_screen = verify._screen, verify._column_screen
+
+    def count(tier, rows, kept):
+        counts[tier, "in"] += len(rows)
+        counts[tier, "out"] += len(kept)
+        return kept
+
+    monkeypatch.setattr(verify, "_screen", lambda values, even, prefix: count(
+        "48" if prefix is None else "whole", values, screen(values, even, prefix)))
+    monkeypatch.setattr(verify, "_column_screen", lambda picks, *tables: count(
+        "column", picks, column_screen(picks, *tables)))
+    return counts
 
 
 class TestScreenVariants:
@@ -578,8 +600,8 @@ class TestAxisScreen:
         def spy(fixed):
             got = chunk(fixed)
             with monkeypatch.context() as patch:
-                every = np.ones(2 * verify._WORK["bound"] + 1, dtype=bool)
-                patch.setitem(verify._WORK, "axis", (fixed[0], every))
+                k20, row, term = verify._WORK["axis"]
+                patch.setitem(verify._WORK, "axis", (k20, np.ones_like(row), term))
                 seen.append((fixed, got, chunk(fixed)))
             return got
 
@@ -608,8 +630,9 @@ class TestAxisScreen:
             tops = verify._examined_region(Sector(parse_slope(slope)), prefix)
             even, b = verify._has_triangle(tops), 2 * bound
             for k20 in range(-b, b + 1):
-                passing = verify._axis_row(k20, len(tops), b, even, np.int32)
-                assert (verify._axis_row(k20, len(tops), b, even, np.int64) == passing).all()
+                passing, wide = (verify._axis_row(verify._k10_term(k20, b, np.array(tops, dtype)),
+                                                  b, even) for dtype in (np.int32, np.int64))
+                assert (wide == passing).all()
                 for k10 in range(-b, b + 1):
                     row = [k20 * x * x + k10 * x for x in range(len(tops))]
                     witness = (len(set(row)) < len(row) or min(row) < -b
@@ -624,8 +647,8 @@ class TestAxisScreen:
             bound = work["bound"]
             k10s = [k10 + bound for grid in verify._chunk_grids(work["cosets"], fixed)
                     for k10 in grid[3]]
-            passing = verify._axis_row(fixed[0], len(work["tops"]), bound, work["even"],
-                                       work["rows"].dtype)
+            passing = verify._axis_row(verify._k10_term(fixed[0], bound, work["tops"]), bound,
+                                       work["even"])
             if not passing[k10s].any():
                 with monkeypatch.context() as patch:
                     for screen in ("_screen", "_column_screen"):
@@ -635,8 +658,8 @@ class TestAxisScreen:
             return chunk(fixed)
 
         monkeypatch.setattr(verify, "_search_chunk", spy)
-        # the bench sweeps: every chunk with k20 < 0, and only those
-        for slope, bound, count in (("1/3", 3, 42), ("1", 2, 20)):
+        # the bench sweeps: every chunk with k20 < 0, and only those, one per k20
+        for slope, bound, count in (("1/3", 3, 6), ("1", 2, 4)):
             refused.clear()
             search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1)
             assert len(refused) == count and all(fixed[0] < 0 for fixed in refused), slope
@@ -688,27 +711,19 @@ class TestColumnScreen:
     def test_is_a_lower_bound_of_each_column(self, slope, prefix, bounded):
         bound, (k20, k11, k02, k10, k01) = bounded
         tops = verify._examined_region(Sector(slope), prefix)
+        k11s = range(-bound, bound + 1)
         for dtype in (np.int32, np.int64):
-            terms = verify._column_terms(k20, k11, bound, np.array(tops, dtype=dtype))
-            low = terms[0][k02 + bound] + terms[1][k10 + bound] + terms[2][k01 + bound]
+            row = np.array(tops, dtype=dtype)
+            low = (verify._k02_term(bound, row)[k02 + bound]
+                   + verify._k10_term(k20, bound, row)[k10 + bound]
+                   + verify._k01_term(k11s, bound, row)[k11s.index(k11), k01 + bound])
             for x, top in enumerate(tops):
                 least = min(k20 * x * x + k11 * x * y + k02 * y * y + k10 * x + k01 * y
                             for y in range(top + 1))
                 assert low[x] <= least, (x, top)
 
     def test_funnel_of_the_bench_sweeps(self, monkeypatch):
-        counts = Counter()
-        screen, column_screen = verify._screen, verify._column_screen
-
-        def count(tier, rows, kept):
-            counts[tier, "in"] += len(rows)
-            counts[tier, "out"] += len(kept)
-            return kept
-
-        monkeypatch.setattr(verify, "_screen", lambda values, even, prefix: count(
-            "48" if prefix is None else "whole", values, screen(values, even, prefix)))
-        monkeypatch.setattr(verify, "_column_screen", lambda picks, k20, k11: count(
-            "column", picks, column_screen(picks, k20, k11)))
+        counts = _count_tiers(monkeypatch)
         # shapes in the 48-point screen, then out of it, the column screen and the whole region
         for slope, bound, funnel in (("1/3", 3, (19040, 8202, 66, 1)),
                                      ("1", 2, (2870, 159, 17, 2))):
@@ -776,7 +791,7 @@ class TestChunkPlan:
         for degree, (sweep, cap) in _SWEEPS.items():
             whole = sweep(I1, 1, 50, workers=1)
             unsplit = sum(len(k20) * len(k11) for k20, k11
-                          in verify._chunk_plan(verify._cosets(_bounds(degree, 2), True)))
+                          in {box[:2] for box in verify._cosets(_bounds(degree, 2), True)})
             seen = []
             with monkeypatch.context() as patch:
                 patch.setattr(verify, "_CHUNK_ROWS", cap)
@@ -784,6 +799,47 @@ class TestChunkPlan:
                               progress=lambda done, total: seen.append((done, total)))
             assert split == whole, degree
             assert seen[-1][0] == seen[-1][1] > unsplit, degree
+
+
+class TestChunkPerK20:
+    """A chunk that holds a whole k20 finds what the chunks of its (k20, k11)
+    pairs find, and reports the same progress."""
+
+    @staticmethod
+    def _pair_cap(sector, bound, prefix, degree):
+        """The cosets of the sweep, and the most candidates of one (k20, k11) pair."""
+        tops = verify._examined_region(sector, prefix)
+        cosets = verify._cosets(_bounds(degree, 2 * bound), verify._has_triangle(tops))
+        pairs = Counter()
+        for box in cosets:
+            pairs[box[:2]] += prod(map(len, box[2:]))
+        return cosets, max(pairs.values())
+
+    def test_same_reports_progress_and_funnel_as_chunks_per_k11(self, monkeypatch):
+        counts = _count_tiers(monkeypatch)
+        for slope, bound, prefix in _SCREEN_CASES:
+            sector = Sector(parse_slope(slope))
+            for degree, (sweep, _) in _SWEEPS.items():
+                cosets, cap = self._pair_cap(sector, bound, prefix, degree)
+                runs = {}
+                for grouped in (True, False):
+                    with monkeypatch.context() as patch:
+                        if not grouped:  # no k20 fits, unless k11 is pinned to 0
+                            patch.setattr(verify, "_CHUNK_ROWS", cap)
+                        depth = len(next(iter(verify._chunk_plan(cosets))))
+                        assert depth == (2 if degree == 2 and not grouped else 1)
+                        for workers in (1, 2):
+                            counts.clear()
+                            seen = []
+                            report = sweep(sector, bound, prefix, workers=workers,
+                                           progress=lambda done, total: seen.append((done, total)))
+                            # the screens of worker processes count in those processes
+                            runs[grouped, workers] = report, seen, workers == 1 and dict(counts)
+                case = (slope, bound, prefix, degree)
+                for workers in (1, 2):
+                    assert runs[True, workers] == runs[False, workers], (case, workers)
+                assert runs[True, 1][:2] == runs[True, 2][:2], case
+                assert runs[True, 1][2]["48", "in"] > 0, case
 
 
 class TestHasTriangle:
