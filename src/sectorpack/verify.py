@@ -53,7 +53,8 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    W < 2*prefix - k00 <= 2*prefix.  The tests run in four steps:
    - the region's y = 0 row, where W = k20*x^2 + k10*x whatever k11, k02
      and k01: a pair (k20, k10) that fails there fails the whole region
-     for every shape that holds it, so each chunk drops it from its grids;
+     for every shape that holds it, so the chunk plan drops it, and no
+     chunk holds it;
    - the first 48 region points;
    - one lower bound per column: on column x with top t,
      W >= L_x = k20*x^2 + k10*x + min(0, k02)*t^2 + min(0, k11*x + k01)*t,
@@ -62,34 +63,44 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    - the whole region, where the coverage count runs before the sort that
      tests distinctness.
 3. Values are built from the monomial rows x^2, xy, y^2, x and y of the
-   region, computed once per search.  A chunk fixes k20, whose term makes
-   one base row, and reads its k20's row of the y = 0 test; it sweeps k11
-   with the other columns, unless the plan fixes k11 too.  The 48-point
-   screen broadcasts over each coset's grid of (k11, k02, k10, k01) the
-   products of each column's values with its monomial row.  The column
-   screen adds one row of each of three small tables, one per term of L,
-   and weighs each column with L_x < 2*prefix by its height: the k02 table
-   is made once per sweep, the k10 one once per k20 and the k01 one per
-   chunk, for the chunk's k11 values.  The whole-region screen multiplies
-   and adds the rows of the shapes that are left.  Both work in batches of
-   about _SLICE_BYTES of values.  With M the largest monomial on the
-   region, |2f| <= 6*(2*bound)*M, which also bounds W, -min W and L, and
-   the coverage count compares W with 2*prefix - k00: the rows are int32
-   when 6*(2*bound)*M and 2*prefix are both below 2^31, which keeps all
-   arithmetic exact, and int64 otherwise.
+   region, computed once per search.  A chunk holds pairs (k20, k10) that
+   passed the y = 0 row, often of many k20 values, and its grids are
+   (pair, k11, k02, k01), one per group of cosets with equal k11, k02 and
+   k01 ranges (on the sublattice, one per parity of k02).  The 48-point
+   screen adds to each pair's row k20*x^2 + k10*x the broadcast products
+   of the k11, k02 and k01 values with their monomial rows, in batches of
+   pairs of about _GRID_BYTES of values.  The column screen adds one row of
+   each of three small tables, one per term of L, and weighs each column
+   with L_x < 2*prefix by its height: the k02 table is made once per
+   sweep, and the pair table (k20*x^2 + k10*x, one row per pair) and the
+   k01 table (for the chunk's k11 values) once per chunk.  The
+   whole-region screen multiplies and adds all five monomial rows for the
+   shapes that are left, as k20 varies within a chunk.  Both work in
+   batches of about _SLICE_BYTES of values.  With M the largest monomial
+   on the region, |2f| <= 6*(2*bound)*M, which also bounds W, -min W and
+   L, and the coverage count compares W with 2*prefix - k00: the rows are
+   int32 when 6*(2*bound)*M and 2*prefix are both below 2^31, which keeps
+   all arithmetic exact, and int64 otherwise.
 
-The box is cut into chunks of at most _CHUNK_ROWS candidates (shapes times
-their k00 range) unless a chunk is a single shape; chunks are never keyed on
-k00.  A chunk holds a whole k20 when every k20 fits, and progress counts the
-(k20, k11) keys whatever the chunk.  So a search holds the region's monomial
-rows, 5 values per point whatever the bound, one y = 0 row, a k02 and a k10
-table of (4*bound + 1) * columns values, a k01 table of that size per k11
-value of the chunk, and a chunk's grid and batches.  Results are
+The plan (_chunk_plan) streams: it tests one k20 at a time on the y = 0
+row and groups consecutive k20 values into one chunk while their passing
+shapes times their k00 range fit _CHUNK_ROWS.  A k20 that does not fit
+alone is cut into chunks keyed on (k20, k11), then on k02, k10 and k01 as
+needed, unless a chunk is a single shape; chunks are never keyed on k00.
+Progress counts the (k20, k11) keys of the box (deeper keys where the box
+splits deeper) whatever the chunks, each when the chunk that ends it
+returns; a refused k20 counts with the next chunk, or at the end.  A sweep
+whose plan holds at most one chunk runs in process, and a pool never has
+more workers than chunks.  So a search holds the region's monomial rows,
+5 values per point whatever the bound, one k20's y = 0 row, a k02 table of
+(4*bound + 1) * columns values, and per chunk a pair table of one row per
+pair, a k01 table of that size per k11 value and the batches.  Results are
 deterministic regardless of worker count: survivors are re-sorted.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -429,6 +440,14 @@ _SCREEN_POINTS = 48  # first tier: a cheap screen on the first region points
 # below the C allocator's usual 128 KiB mmap threshold it reuses heap pages
 # rather than faulting in fresh ones
 _SLICE_BYTES = 1 << 17
+# bytes of 48-point values per batch of a grid's pairs: few enough batches
+# that the per-batch numpy calls stay cheap, and large enough that freeing
+# one lifts glibc's dynamic mmap threshold, and the heap trim threshold with
+# it, past what verify_packing allocates for a 100,000-point region, which
+# then reuses heap pages.  Measured in the benchmark's loop: with 640 or
+# 768 KiB, or one buffer per chunk reused by its batches, verify_packing ran
+# slower between sweeps.
+_GRID_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
 
@@ -460,36 +479,83 @@ def _cosets(bounds: tuple[int, ...], sublattice: bool) -> list[tuple[range, ...]
     return [box for box in boxes if all(box)]
 
 
-def _chunk_plan(cosets: list[tuple[range, ...]]) -> dict[tuple[range, ...], int]:
-    """Boxes of leading-column values -> candidates per chunk.
+def _depth(boxes: list[tuple], start: int) -> int:
+    """The least depth from `start` at which every key, the values of the
+    boxes' first `depth` columns, holds at most _CHUNK_ROWS candidates;
+    _SHAPE_COLUMNS at the latest, where a key is a single shape.  Two boxes
+    have equal or disjoint leading columns, so a key's candidates are those
+    of the boxes with its leading columns."""
+    for depth in range(start, _SHAPE_COLUMNS):
+        sizes: dict[tuple, int] = {}
+        for box in boxes:
+            sizes[box[:depth]] = sizes.get(box[:depth], 0) + math.prod(map(len, box[depth:]))
+        if max(sizes.values()) <= _CHUNK_ROWS:
+            return depth
+    return _SHAPE_COLUMNS
 
-    Each point of a box keys one chunk.  Two cosets have equal or disjoint
-    leading ranges, so the boxes are disjoint.  A chunk holds one k20 with
-    all its shapes when every k20's candidates fit _CHUNK_ROWS; otherwise
-    the sweep splits on (k20, k11), and on further shape columns while a
-    chunk would exceed _CHUNK_ROWS candidates.  k00 is solved by the screen,
-    never swept, so no chunk is keyed on it; a chunk holds at most
-    _CHUNK_ROWS shape rows.
+
+def _chunk_plan(cosets: list[tuple[range, ...]], tops: np.ndarray, bound: int,
+                even: bool) -> Iterator[tuple[list[tuple], list[tuple[int, ...]]]]:
+    """The chunks of the sweep in k20 order, lazily, each as (boxes, keys).
+
+    Each k20 in turn has its y = 0 row made and tested (_axis_row), and its
+    cosets become boxes whose k10 column holds the passing values only, so
+    no chunk holds a refused pair (k20, k10) and a k20 with every pair
+    refused makes no chunk.  Consecutive k20 values share one chunk while
+    their candidates (shapes times their k00 range) fit _CHUNK_ROWS; a k20
+    that does not fit alone splits as _depth says, on k11, then k02, k10 and
+    k01, with a fixed column as a one-value range.  A chunk's boxes hold the
+    five shape columns; the screen solves k00, so no chunk is keyed on it.
+
+    `keys` are the key prefixes (k20, k11, ...) that end with the chunk: its
+    k20 values, or the one key that it fixes, plus any refused k20 since the
+    previous chunk.  Only the current k20's row and boxes are held.
     """
-    for depth in range(1, _SHAPE_COLUMNS + 1):
-        plan: dict[tuple[range, ...], int] = {}
-        for box in cosets:
-            head = box[:depth]
-            plan[head] = plan.get(head, 0) + math.prod(len(r) for r in box[depth:])
-        if max(plan.values()) <= _CHUNK_ROWS:  # single shapes at the latest
-            break
-    return plan
+    group: list[tuple] = []
+    keys: list[tuple[int, ...]] = []
+    filled = 0  # the group's candidates
+    for k20 in range(-bound, bound + 1):
+        boxes = [box for box in cosets if k20 in box[0]]
+        if not boxes:
+            continue
+        passing = _axis_row(_k10_term(k20, bound, tops), bound, even)
+        k10s = tuple(k10 for k10 in boxes[0][3] if passing[k10 + bound])  # one k10 range per k20
+        if not k10s:
+            keys.append((k20,))
+            continue
+        boxes = [(range(k20, k20 + 1),) + box[1:3] + (k10s,) + box[4:] for box in boxes]
+        depth = _depth(boxes, 1)
+        size = sum(math.prod(map(len, box[1:])) for box in boxes)
+        if group and (depth > 1 or filled + size > _CHUNK_ROWS):
+            yield group, keys
+            group, keys, filled = [], [], 0
+        if depth == 1:
+            group.extend(box[:_SHAPE_COLUMNS] for box in boxes)
+            keys.append((k20,))
+            filled += size
+            continue
+        for head in dict.fromkeys(box[:depth] for box in boxes):
+            for key in itertools.product(*head):
+                fixed = tuple(range(v, v + 1) for v in key)
+                chunk = [fixed + box[depth:_SHAPE_COLUMNS] for box in boxes if box[:depth] == head]
+                yield chunk, keys + [key]
+                keys = []
+    if group:
+        yield group, keys
 
 
-def _chunk_grids(cosets: list[tuple[range, ...]],
-                 fixed: tuple[int, ...]) -> list[tuple[range, ...]]:
-    """The shape rows (k20, k11, k02, k10, k01) of one chunk as grids, one
-    per swept coset (see _cosets) that holds the `fixed` leading columns: a
-    range per column, one value for a fixed column and the coset's range for
-    the others.  Every coset sweeps one k11 range, so the grids of a chunk
-    share their k11 range.  The screen solves k00."""
-    return [tuple(range(v, v + 1) for v in fixed) + box[len(fixed):_SHAPE_COLUMNS]
-            for box in cosets if all(v in r for v, r in zip(fixed, box))]
+def _chunk_grids(chunk: list[tuple]) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """The chunk's pairs (k20, k10), each once, and its grids: one per group
+    of its boxes with equal (k11, k02, k01) columns, which on the sublattice
+    means one per parity of k02, as (indices of the group's pairs, k11
+    column, k02 column, k01 column).  Every box of a chunk has the same k11
+    column."""
+    pairs: dict[tuple[int, int], int] = {}
+    grids: dict[tuple, list[int]] = {}
+    for k20s, k11s, k02s, k10s, k01s in chunk:
+        index = [pairs.setdefault(pair, len(pairs)) for pair in itertools.product(k20s, k10s)]
+        grids.setdefault((k11s, k02s, k01s), []).extend(index)
+    return list(pairs), [(index, *columns) for columns, index in grids.items()]
 
 
 def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
@@ -508,8 +574,9 @@ def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
 # k02*y^2 >= min(0, k02)*t^2 and (k11*x + k01)*y >= min(0, k11*x + k01)*t, so
 # W(x, y) >= L_x.  Each term is at most 2*bound*M in size, for M the largest
 # monomial of the region (x*t is one), so |L_x| <= 5*bound*M is exact in the
-# dtype of the region's rows.  The k02 table is made once per sweep, the k10
-# one once per k20 and the k01 one per chunk, for the chunk's k11 values.
+# dtype of the region's rows.  The k02 table is made once per sweep, the
+# k20*x^2 + k10*x one per chunk for the chunk's pairs (_pair_term), and the
+# k01 one per chunk, for the chunk's k11 values.
 
 def _k02_term(bound: int, tops: np.ndarray) -> np.ndarray:
     """min(0, k02)*t^2, shape (2*bound + 1, columns)."""
@@ -517,9 +584,16 @@ def _k02_term(bound: int, tops: np.ndarray) -> np.ndarray:
     return np.multiply.outer(np.minimum(ks, 0), tops * tops)
 
 
-def _k10_term(k20: int, bound: int, tops: np.ndarray) -> np.ndarray:
-    """k20*x^2 + k10*x, shape (2*bound + 1, columns): also W on the region's
+def _pair_term(pairs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """k20*x^2 + k10*x at each x of `xs`, one row per pair (k20, k10) of
+    `pairs`, shape (pairs, len(xs)): on the region's columns, also W on its
     y = 0 row, which is the first point (x, 0) of each column."""
+    return np.multiply.outer(pairs[:, 0], xs * xs) + np.multiply.outer(pairs[:, 1], xs)
+
+
+def _k10_term(k20: int, bound: int, tops: np.ndarray) -> np.ndarray:
+    """The _pair_term of k20 beside each k10 on the region's columns, shape
+    (2*bound + 1, columns), with the row of k10 at [k10 + bound]."""
     xs = np.arange(len(tops), dtype=tops.dtype)
     values = np.multiply.outer(np.arange(-bound, bound + 1, dtype=tops.dtype), xs)
     values += k20 * xs * xs
@@ -553,24 +627,25 @@ def _axis_row(term: np.ndarray, bound: int, even: bool) -> np.ndarray:
     return row
 
 
-def _column_screen(picks: np.ndarray, k10_term: np.ndarray, k11s: range) -> np.ndarray:
+def _column_screen(picks: np.ndarray, pair_term: np.ndarray, k11s: range) -> np.ndarray:
     """Exact filter of shapes by the lower bound of W on each column (see
-    the tables from _k02_term on): the indices of the rows of `picks`, the shapes' swept
-    columns (k11, k02, k10, k01) with k11 in k11s, whose columns with
-    L_x < 2*prefix hold at least prefix points.  The others fail the
-    whole-region screen's coverage count (point 2 of the module docstring).
-    `k10_term` is _k10_term of the shapes' k20."""
+    the tables from _k02_term on): the indices of the rows of `picks`, the
+    shapes (k20, k11, k02, k10, k01) with k11 in k11s, each followed by the
+    row of its pair in `pair_term` (the chunk's _pair_term), whose columns
+    with L_x < 2*prefix hold at least prefix points.  The others fail the
+    whole-region screen's coverage count (point 2 of the module docstring)."""
     bound, heights, prefix = _WORK["bound"], _WORK["heights"], _WORK["prefix"]
     width = 2 * bound + 1
     k01_term = _k01_term(k11s, bound, _WORK["tops"]).reshape(-1, len(heights))
-    slant = (picks[:, 0] - k11s.start) // k11s.step * width + picks[:, 3] + bound
-    rows = (picks[:, 1:3] + bound).T
+    slant = (picks[:, 1] - k11s.start) // k11s.step * width + picks[:, 4] + bound
+    k02s, pair_rows = picks[:, 2] + bound, picks[:, 5]
     kept = []
     for s in _slices(len(picks), len(heights), heights.itemsize):
-        low = _WORK["k02_term"].take(rows[0, s], axis=0) + k10_term.take(rows[1, s], axis=0)
+        low = _WORK["k02_term"].take(k02s[s], axis=0) + pair_term.take(pair_rows[s], axis=0)
         low += k01_term.take(slant[s], axis=0)
         # exact: einsum adds integers in their own dtype, with no BLAS
         capacity = np.einsum("ij,j->i", low < 2 * prefix, heights)
+        del low  # freed before the next batch, as in _search_chunk
         kept.append(s.start + np.flatnonzero(capacity >= prefix))
     return np.concatenate(kept)
 
@@ -596,13 +671,11 @@ def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
     return kept
 
 
-def _tier_values(picks: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """W at every region point of the shapes whose swept columns (k11, k02,
-    k10, k01) are `picks`, one row per shape."""
+def _tier_values(shapes: np.ndarray) -> np.ndarray:
+    """W at every region point of the shapes (k20, k11, k02, k10, k01), one
+    row per shape."""
     # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
-    values = np.einsum("ij,jk->ik", picks, _WORK["rows"][1:])
-    values += base
-    return values
+    return np.einsum("ij,jk->ik", shapes, _WORK["rows"])
 
 
 def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
@@ -611,55 +684,53 @@ def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def _search_chunk(fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Screen one chunk of the coefficient lattice; returns surviving numerator tuples.
+def _search_chunk(chunk: list[tuple]) -> list[tuple[int, ...]]:
+    """Screen one chunk of the plan (see _chunk_plan); returns surviving
+    numerator tuples.
 
-    A chunk fixes k20, and k11 and more when the plan splits further (see
-    _chunk_plan); each grid sweeps the rest, k11 included, with a fixed
-    column as a one-value range.  The axis row of the chunk's k20 (see
-    _axis_row) cuts each grid's k10 axis to the values that pass, a fixed
-    k10 included, before any value is made; a chunk left with no grid
-    returns at once.  Chunks come in runs of one k20, so only the current
-    k20's row and k10 table are kept."""
-    rows, even, bound = _WORK["rows"], _WORK["even"], _WORK["bound"]
-    k20 = fixed[0]
-    axis = _WORK.get("axis")
-    if axis is None or axis[0] != k20:
-        term = _k10_term(k20, bound, _WORK["tops"])
-        axis = _WORK["axis"] = (k20, _axis_row(term, bound, even), term)
-    passing = axis[1]  # by k10 + bound
-    grids = []
-    for grid in _chunk_grids(_WORK["cosets"], fixed):
-        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in grid[1:]]
-        axes[2] = axes[2][passing[axes[2] + bound]]
-        if axes[2].size:
-            grids.append(axes)
-            k11s = grid[1]  # the same for every grid of the chunk
-    if not grids:
-        return []
-    base = k20 * rows[0]  # the chunk's x^2 term at each point
-    # first tier: the values of each coset grid are sums of per-axis terms
-    first = base[:_SCREEN_POINTS]
+    The chunk's boxes become grids of (pair, k11, k02, k01), the pairs
+    (k20, k10) being the ones that passed the y = 0 row (see _chunk_grids).
+    On the first 48 points a grid's values are a pair row k20*x^2 + k10*x
+    plus the sum of three per-axis terms; they are made in batches of pairs
+    of about _GRID_BYTES.  The shapes left carry the row of their pair into
+    the column screen, and the whole-region screen multiplies all five
+    monomial rows, as k20 varies within a chunk."""
+    rows, even = _WORK["rows"], _WORK["even"]
+    pairs, grids = _chunk_grids(chunk)
+    pairs = np.array(pairs, dtype=rows.dtype)
+    first = rows[:, :_SCREEN_POINTS]
+    pair_first = _pair_term(pairs, first[3])  # x^2 is x*x, so the x row serves both
     picks = []
-    for axes in grids:
-        terms = [np.multiply.outer(a, row[:_SCREEN_POINTS]) for a, row in zip(axes, rows[1:])]
-        values = ((((terms[0] + first)[:, None, None, None] + terms[1][:, None, None])
-                   + terms[2][:, None]) + terms[3])
-        kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
-        index = np.unravel_index(kept, values.shape[:4])
-        picks.append(np.column_stack([a[i] for a, i in zip(axes, index)]))
+    for index, *columns in grids:
+        index = np.array(index, dtype=rows.dtype)
+        axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in columns]
+        terms = [np.multiply.outer(a, row) for a, row in zip(axes, first[[1, 2, 4]])]
+        inner = (terms[0][:, None, None] + terms[1][:, None]) + terms[2]
+        step = max(1, _GRID_BYTES // inner.nbytes)  # pairs per batch
+        for start in range(0, len(index), step):
+            batch = index[start:start + step]
+            values = pair_first[batch, None, None, None] + inner
+            kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
+            at, i11, i02, i01 = np.unravel_index(kept, values.shape[:4])
+            # freed before the next batch is made, whose pages the allocator
+            # then reuses rather than trimming the heap and faulting them in
+            del values
+            pair = batch[at]
+            picks.append(np.column_stack([pairs[pair, 0], axes[0][i11], axes[1][i02],
+                                          pairs[pair, 1], axes[2][i01], pair]))
     picks = np.concatenate(picks)
     if len(picks):  # second tier: the lower bound of W on each column
-        picks = picks[_column_screen(picks, axis[2], k11s)]
+        xs = np.arange(len(_WORK["tops"]), dtype=rows.dtype)
+        picks = picks[_column_screen(picks, _pair_term(pairs, xs), chunk[0][1])]
     # whole region: the survivors' values by multiply-add, in batches of bounded size
-    points = rows.shape[1]
+    shapes = picks[:, :_SHAPE_COLUMNS]
     out: list[tuple[int, ...]] = []
-    for s in _slices(len(picks), points, base.itemsize):
-        values = _tier_values(picks[s], base)
+    for s in _slices(len(shapes), rows.shape[1], rows.itemsize):
+        values = _tier_values(shapes[s])
         kept = _screen(values, even, _WORK["prefix"])
         lo = -values[kept].min(axis=1)
-        out.extend((k20, *shape, k00)
-                   for shape, k00 in zip(picks[s][kept].tolist(), lo.tolist()))
+        del values
+        out.extend((*shape, k00) for shape, k00 in zip(shapes[s][kept].tolist(), lo.tolist()))
     return out
 
 
@@ -696,7 +767,6 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     cosets = _cosets(bounds, sublattice)
     tops_row = np.array(tops, dtype=dtype)
     payload = {
-        "cosets": cosets,
         "bound": bound,  # the largest k00 of every coset
         "prefix": prefix,
         "even": sublattice,  # every value of a sublattice shape is even
@@ -705,39 +775,47 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
         "heights": tops_row + 1,
         "k02_term": _k02_term(bound, tops_row),
     }
-    plan = _chunk_plan(cosets)
-    # progress counts the (k20, k11, ...) keys of a plan split at least that
-    # far, so a chunk keyed on k20 alone ticks once per k11 that it holds
-    depth = max(2, len(next(iter(plan))))
-    ticked = {box[:depth] for box in cosets}
-    total = sum(math.prod(len(r) for r in head) for head in ticked)
+    # progress counts the (k20, k11, ...) keys of the box split at least that
+    # far, before any pair is refused, however the plan groups or splits
+    ticked = {box[:_depth(cosets, 2)] for box in cosets}
+    total = sum(math.prod(map(len, head)) for head in ticked)
 
-    def chunks() -> Iterator[tuple[int, ...]]:
-        return itertools.chain.from_iterable(itertools.product(*head) for head in plan)
+    def ticks(key: tuple[int, ...]) -> int:
+        return sum(math.prod(map(len, head[len(key):])) for head in ticked
+                   if all(v in r for v, r in zip(key, head)))
 
-    def ticks(fixed: tuple[int, ...]) -> int:
-        return sum(math.prod(len(r) for r in head[len(fixed):]) for head in ticked
-                   if all(v in r for v, r in zip(fixed, head)))
+    plan = _chunk_plan(cosets, tops_row, bound, sublattice)
+    leading = list(itertools.islice(plan, workers or os.cpu_count() or 1))
+    ending = collections.deque()  # the keys that end with each chunk handed out
 
-    def collect(parts: Iterator[tuple[tuple[int, ...], list]]) -> None:
+    def chunks() -> Iterator[list[tuple]]:
+        for chunk, keys in itertools.chain(leading, plan):
+            ending.append(keys)
+            yield chunk
+
+    def tick(done: int, upto: int) -> int:
+        if progress:
+            for step in range(done + 1, upto + 1):
+                progress(step, total)
+        return upto
+
+    def collect(parts: Iterator[list]) -> None:
         done = 0
-        for fixed, part in parts:
+        for part in parts:
             found.extend(part)
-            if progress:
-                for done in range(done + 1, done + ticks(fixed) + 1):
-                    progress(done, total)
+            done = tick(done, done + sum(map(ticks, ending.popleft())))
+        tick(done, total)  # refused keys with no chunk after them
 
-    units = sum(math.prod(len(r) for r in head) for head in plan)
-    workers = min(workers or os.cpu_count() or 1, units)  # no idle worker processes
     found: list[tuple[int, ...]] = []
-    if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_search_init,
+
+    if len(leading) > 1:  # no idle worker processes, and no pool for one chunk
+        with multiprocessing.Pool(len(leading), initializer=_search_init,
                                   initargs=(payload,)) as pool:
-            collect(zip(chunks(), pool.imap(_search_chunk, chunks())))
+            collect(pool.imap(_search_chunk, chunks()))
     else:
         _search_init(payload)
         try:
-            collect((fixed, _search_chunk(fixed)) for fixed in chunks())
+            collect(map(_search_chunk, chunks()))
         finally:
             _WORK.clear()
     del payload  # the region's monomial rows are not needed by the certification below

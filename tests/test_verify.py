@@ -379,6 +379,40 @@ class TestColumnScan:
                         _walk_verdict(f, family.sector, prefix), (family.name, shift, prefix)
 
 
+def _bounds(degree, bound):
+    """Even numerator bounds per column: a linear sweep pins k20, k11, k02 to 0."""
+    return (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
+
+
+def _plan(sector, bound, prefix, degree):
+    """The cosets of a sweep, and its chunk plan as a list of (boxes, keys)."""
+    tops = verify._examined_region(sector, prefix)
+    even, b = verify._has_triangle(tops), 2 * bound
+    cosets = verify._cosets(_bounds(degree, b), even)
+    return cosets, list(verify._chunk_plan(cosets, np.array(tops, np.int64), b, even))
+
+
+def _in_process_pool(started):
+    """A stand-in for multiprocessing.Pool that records its process count in
+    `started` and maps in this process."""
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            verify._WORK.clear()
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    return InProcessPool
+
+
 class TestSearch:
     def test_small_search_isolates_the_two_packings(self):
         report = search_quadratic(I1, 2, 300)
@@ -392,35 +426,34 @@ class TestSearch:
 
     def test_starts_no_more_workers_than_chunks(self, monkeypatch):
         started = []
-
-        class InProcessPool:
-            """Records its process count and maps in this process."""
-
-            def __init__(self, processes, initializer, initargs):
-                started.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                verify._WORK.clear()
-
-            def imap(self, func, items):
-                return map(func, items)
-
-        monkeypatch.setattr(verify.multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(verify.multiprocessing, "Pool", _in_process_pool(started))
+        # a cap that splits the plan into chunks, one of them keyed on (k20, k11)
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", 100)
         serial = search_quadratic(I1, 1, 120, workers=1)
         totals = []
         pooled = search_quadratic(I1, 1, 120, workers=64,
                                   progress=lambda done, total: totals.append(total))
         assert pooled == serial
-        # a work unit is a chunk of the plan, and progress counts (k20, k11) keys
-        units = sum(prod(map(len, head))
-                    for head in verify._chunk_plan(verify._cosets(_bounds(2, 2), True)))
-        assert started == [min(64, units)] and units < totals[-1] < 64
+        # a work unit is a chunk of the plan, and progress counts (k20, k11) keys,
+        # refused ones included
+        units = len(_plan(I1, 1, 120, 2)[1])
+        assert started == [min(64, units)] and 1 < units < totals[-1] < 64
         linear_impossibility_check(I1, 1, 120, workers=64)  # one chunk: no pool
         assert started == [units]
+
+    def test_a_sweep_with_every_pair_refused_runs_no_chunk(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(verify.multiprocessing, "Pool", _in_process_pool(started))
+        monkeypatch.setattr(verify, "_axis_row", lambda term, bound, even: np.zeros(len(term), bool))
+        monkeypatch.setattr(verify, "_search_chunk", None)  # a chunk would raise
+        for sweep in (search_quadratic, linear_impossibility_check):
+            seen = []
+            report = sweep(Sector(parse_slope("1/3")), 3, 1000, workers=64,
+                           progress=lambda done, total: seen.append((done, total)))
+            total = 91 if sweep is search_quadratic else 1
+            assert seen == [(done, total) for done in range(1, total + 1)]
+            assert report.exhausted and report.survivors == ()
+        assert started == []
 
     def test_progress_callback(self):
         seen = []
@@ -510,11 +543,11 @@ def _screen_reports(monkeypatch):
         dtypes.add(values.dtype)
         return screen(values, even, prefix)
 
-    def column_spy(picks, k10_term, k11s):
+    def column_spy(picks, pair_term, k11s):
         dtypes.add(picks.dtype)
-        kept = column_screen(picks, k10_term, k11s)
-        k20 = verify._WORK["axis"][0]
-        dropped[case].extend((k20, *shape) for shape in np.delete(picks, kept, 0).tolist())
+        kept = column_screen(picks, pair_term, k11s)
+        shapes = np.delete(picks, kept, 0)[:, :verify._SHAPE_COLUMNS]
+        dropped[case].extend(map(tuple, shapes.tolist()))
         return kept
 
     monkeypatch.setattr(verify, "_screen", spy)
@@ -564,8 +597,9 @@ def _count_tiers(monkeypatch):
 
 
 class TestScreenVariants:
-    """The int64 screen and one-row batches give the reports of the default
-    screen, and under each the column screen drops only failing shapes."""
+    """The int64 screen, one-row batches and one-pair grid batches give the
+    reports of the default screen, and under each the column screen drops
+    only failing shapes."""
 
     @pytest.fixture(scope="class")
     def default(self):
@@ -579,7 +613,8 @@ class TestScreenVariants:
         _assert_fail_the_whole_region(dropped)
 
     @pytest.mark.parametrize("name, value, dtype", [("_INT32_LIMIT", 0, np.int64),
-                                                    ("_SLICE_BYTES", 1, np.int32)])
+                                                    ("_SLICE_BYTES", 1, np.int32),
+                                                    ("_GRID_BYTES", 1, np.int32)])
     def test_same_reports(self, monkeypatch, default, name, value, dtype):
         monkeypatch.setattr(verify, name, value)
         reports, dtypes, dropped = _screen_reports(monkeypatch)
@@ -590,40 +625,40 @@ class TestScreenVariants:
 
 
 class TestAxisScreen:
-    """The (k20, k10) table on the region's y = 0 row, which _search_chunk reads first."""
+    """The (k20, k10) test on the region's y = 0 row, which the chunk plan runs first."""
 
     @staticmethod
-    def _chunks(monkeypatch, cases):
-        """(key, result, result with every pair passing) of each chunk of both sweeps."""
-        chunk, seen = verify._search_chunk, []
-
-        def spy(fixed):
-            got = chunk(fixed)
+    def _reports(monkeypatch, cases):
+        """The reports of both sweeps of the cases, with the row and with
+        every pair passing it."""
+        runs = []
+        for passing in (False, True):
             with monkeypatch.context() as patch:
-                k20, row, term = verify._WORK["axis"]
-                patch.setitem(verify._WORK, "axis", (k20, np.ones_like(row), term))
-                seen.append((fixed, got, chunk(fixed)))
-            return got
-
-        monkeypatch.setattr(verify, "_search_chunk", spy)
-        for slope, bound, prefix in cases:
-            for sweep in (search_quadratic, linear_impossibility_check):
-                sweep(Sector(parse_slope(slope)), bound, prefix, workers=1)
-        return seen
+                if passing:
+                    patch.setattr(verify, "_axis_row",
+                                  lambda term, bound, even: np.ones(len(term), bool))
+                runs.append([sweep(Sector(parse_slope(slope)), bound, prefix, workers=1)
+                             for slope, bound, prefix in cases
+                             for sweep in (search_quadratic, linear_impossibility_check)])
+        return runs
 
     def test_chunks_find_what_they_found_without_it(self, monkeypatch):
-        seen = self._chunks(monkeypatch, _SCREEN_CASES)
-        assert all(got == whole for _, got, whole in seen)
-        assert any(got for _, got, _ in seen)
+        screened, whole = self._reports(monkeypatch, _SCREEN_CASES)
+        assert screened == whole
+        assert any(report.survivors for report in screened)
 
     def test_chunks_keyed_on_k10_find_what_they_found_without_it(self, monkeypatch):
         monkeypatch.setattr(verify, "_CHUNK_ROWS", 1)
         # bound 1 only, and both the full box (prefix 1) and the sublattice
         cases = [case for case in _SCREEN_CASES if case[1] == 1 and case[2] in (1, 20)]
-        seen = self._chunks(monkeypatch, cases)
-        assert {len(fixed) for fixed, _, _ in seen} == {5}
-        assert all(got == whole for _, got, whole in seen)
-        assert any(got for _, got, _ in seen)
+        for slope, bound, prefix in cases:
+            for degree in (1, 2):
+                _, plan = _plan(Sector(parse_slope(slope)), bound, prefix, degree)
+                assert {len(key) for _, keys in plan for key in keys} <= {1, 5}
+                assert all(len(keys[-1]) == 5 for _, keys in plan)
+        screened, whole = self._reports(monkeypatch, cases)
+        assert screened == whole
+        assert any(report.survivors for report in screened)
 
     def test_refused_pairs_have_a_witness_on_the_row(self):
         for slope, bound, prefix in _SCREEN_CASES:
@@ -639,34 +674,29 @@ class TestAxisScreen:
                                or (not even and any(value % 2 for value in row)))
                     assert passing[k10 + b] == (not witness), (slope, prefix, k20, k10)
 
-    def test_a_chunk_with_every_k10_refused_screens_nothing(self, monkeypatch):
-        chunk, refused = verify._search_chunk, []
-
-        def spy(fixed):
-            work = verify._WORK
-            bound = work["bound"]
-            k10s = [k10 + bound for grid in verify._chunk_grids(work["cosets"], fixed)
-                    for k10 in grid[3]]
-            passing = verify._axis_row(verify._k10_term(fixed[0], bound, work["tops"]), bound,
-                                       work["even"])
-            if not passing[k10s].any():
-                with monkeypatch.context() as patch:
-                    for screen in ("_screen", "_column_screen"):
-                        patch.setattr(verify, screen, None)  # a screen would raise
-                    assert chunk(fixed) == []
-                refused.append(fixed)
-            return chunk(fixed)
-
-        monkeypatch.setattr(verify, "_search_chunk", spy)
-        # the bench sweeps: every chunk with k20 < 0, and only those, one per k20
-        for slope, bound, count in (("1/3", 3, 6), ("1", 2, 4)):
-            refused.clear()
-            search_quadratic(Sector(parse_slope(slope)), bound, 1000, workers=1)
-            assert len(refused) == count and all(fixed[0] < 0 for fixed in refused), slope
+    def test_no_chunk_holds_a_refused_pair(self):
+        for slope, bound, prefix in _SCREEN_CASES:
+            sector = Sector(parse_slope(slope))
+            tops = verify._examined_region(sector, prefix)
+            even, b = verify._has_triangle(tops), 2 * bound
+            for degree in (1, 2):
+                _, plan = _plan(sector, bound, prefix, degree)
+                for boxes, _ in plan:
+                    assert boxes
+                    for box in boxes:
+                        [k20] = box[0]
+                        passing = verify._axis_row(
+                            verify._k10_term(k20, b, np.array(tops, np.int64)), b, even)
+                        assert box[3] and all(passing[k10 + b] for k10 in box[3]), (slope, k20)
+        # the bench sweeps: every k20 < 0 is refused, and the rest fit one chunk
+        for slope, bound in (("1/3", 3), ("1", 2)):
+            [(boxes, keys)] = _plan(Sector(parse_slope(slope)), bound, 1000, 2)[1]
+            assert keys == [(k20,) for k20 in range(-2 * bound, 2 * bound + 1)], slope
+            assert {box[0][0] for box in boxes} == set(range(2 * bound + 1)), slope
 
     def test_a_wide_box_starts_in_small_memory(self):
-        # the axis row of a k20 is made when its first chunk runs, so the
-        # first chunk of bound 2000 (8,001 numerators a side) starts in
+        # the plan makes the axis row of a k20 when it reaches that k20, so
+        # the first chunk of bound 2000 (8,001 numerators a side) starts in
         # O(bound * columns) memory; a whole table would be 61 MiB.  Most of
         # the peak is the chunk keys' ranges, held as tuples by itertools.product.
         class Stop(Exception):
@@ -736,56 +766,73 @@ class TestColumnScreen:
             assert len(report.survivors) == funnel[3]
 
 
-def _bounds(degree, bound):
-    """Even numerator bounds per column: a linear sweep pins k20, k11, k02 to 0."""
-    return (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
 
 
 # per degree: the sweep, and a chunk cap that splits its bound-1 box past (k20, k11)
 _SWEEPS = {1: (linear_impossibility_check, 4), 2: (search_quadratic, 40)}
 
 
+def _candidates(boxes, cosets):
+    """The candidates (k20, k11, k02, k10, k01, k00) of shape boxes, each
+    shape with the k00 range of its coset."""
+    out = []
+    for box in boxes:
+        for shape in itertools.product(*box):
+            [coset] = [c for c in cosets if all(v in r for v, r in zip(shape, c))]
+            out.extend((*shape, k00) for k00 in coset[5])
+    return out
+
+
 class TestChunkPlan:
     def test_chunks_are_capped_at_bound_10(self):
         for degree in (1, 2):
-            for sublattice in (True, False):
-                plan = verify._chunk_plan(verify._cosets(_bounds(degree, 20), sublattice))
-                assert max(plan.values()) <= verify._CHUNK_ROWS, (degree, sublattice)
+            for sector, prefix in ((I1, 1), (Sector(Slope(1, 3)), 100)):
+                cosets, plan = _plan(sector, 10, prefix, degree)
+                assert degree == 1 or len(plan) > 1
+                for boxes, keys in plan:
+                    shapes = sum(prod(map(len, box)) for box in boxes)
+                    assert shapes == 1 or shapes * len(cosets[0][5]) <= verify._CHUNK_ROWS
 
+    # Sector(1) at prefix 1 examines no lattice triangle, at prefix 20 it does
     @pytest.mark.parametrize("sublattice", [True, False])
     def test_chunks_tile_the_swept_set(self, monkeypatch, sublattice):
+        prefix = 20 if sublattice else 1
+        tops = verify._examined_region(I1, prefix)
+        assert verify._has_triangle(tops) == sublattice
         for degree, (_, cap) in _SWEEPS.items():
-            bounds = _bounds(degree, 2)
-            cosets = verify._cosets(bounds, sublattice)
-            with monkeypatch.context() as patch:
-                patch.setattr(verify, "_CHUNK_ROWS", cap)
-                plan = verify._chunk_plan(cosets)
-            assert max(len(key) for key in plan) > 2, degree
-            rows = []
-            for head, size in plan.items():
-                for key in itertools.product(*head):
-                    shapes = [shape for grid in verify._chunk_grids(cosets, key)
-                              for shape in itertools.product(*grid)]
-                    assert all(shape[:len(key)] == key for shape in shapes)
-                    # a shape row stands for its coset's whole k00 range
-                    chunk = []
-                    for shape in shapes:
-                        [box] = [box for box in cosets if all(v in r for v, r in zip(shape, box))]
-                        chunk.extend((*shape, k00) for k00 in box[5])
-                    assert len(chunk) == size
-                    rows.extend(chunk)
-            box = itertools.product(*(range(-b, b + 1) for b in bounds))
-            swept = [k for k in box if not sublattice or
-                     (k[1] % 2 == 0 and k[5] % 2 == 0 and k[5] >= 0
-                      and (k[3] - k[0]) % 2 == 0 and (k[4] - k[2]) % 2 == 0)]
-            assert sorted(rows) == swept, degree
+            for rows in (verify._CHUNK_ROWS, cap):
+                with monkeypatch.context() as patch:
+                    patch.setattr(verify, "_CHUNK_ROWS", rows)
+                    cosets, plan = _plan(I1, 1, prefix, degree)
+                    assert all(len(_candidates(boxes, cosets)) <= rows
+                               or sum(prod(map(len, box)) for box in boxes) == 1
+                               for boxes, _ in plan)
+                chunked = [row for boxes, _ in plan for row in _candidates(boxes, cosets)]
+                assert len(chunked) == len(set(chunked))
+                # the refused pairs, each with a witness on the y = 0 row
+                refused = []
+                for box in cosets:
+                    for k20, k10 in itertools.product(box[0], box[3]):
+                        row = [k20 * x * x + k10 * x for x in range(len(tops))]
+                        if (len(set(row)) < len(row) or min(row) < -2
+                                or (not sublattice and any(value % 2 for value in row))):
+                            refused.extend(_candidates(
+                                [((k20,), box[1], box[2], (k10,), box[4])], cosets))
+                assert refused and chunked, degree
+                box = itertools.product(*(range(-b, b + 1) for b in _bounds(degree, 2)))
+                swept = [k for k in box if not sublattice or
+                         (k[1] % 2 == 0 and k[5] % 2 == 0 and k[5] >= 0
+                          and (k[3] - k[0]) % 2 == 0 and (k[4] - k[2]) % 2 == 0)]
+                assert sorted(chunked + refused) == swept, (degree, rows)
+            assert max(len(keys[-1]) for _, keys in plan) > 2, degree
 
     def test_chunks_never_key_on_k00(self, monkeypatch):
         monkeypatch.setattr(verify, "_CHUNK_ROWS", 1)
         for degree in (1, 2):
-            for sublattice in (True, False):
-                plan = verify._chunk_plan(verify._cosets(_bounds(degree, 2), sublattice))
-                assert max(len(head) for head in plan) == 5, (degree, sublattice)
+            for prefix in (1, 20):  # the full box and the sublattice
+                _, plan = _plan(I1, 1, prefix, degree)
+                assert all(len(box) == verify._SHAPE_COLUMNS for boxes, _ in plan for box in boxes)
+                assert {len(keys[-1]) for _, keys in plan} == {5}, (degree, prefix)
 
     def test_split_sweep_is_unchanged(self, monkeypatch):
         for degree, (sweep, cap) in _SWEEPS.items():
@@ -801,33 +848,41 @@ class TestChunkPlan:
             assert seen[-1][0] == seen[-1][1] > unsplit, degree
 
 
-class TestChunkPerK20:
-    """A chunk that holds a whole k20 finds what the chunks of its (k20, k11)
-    pairs find, and reports the same progress."""
+class TestPairPlan:
+    """A chunk that holds whole k20 values, with their passing pairs as one
+    grid axis, finds what the chunks of (k20, k11) keys find, and reports
+    the same progress."""
 
     @staticmethod
     def _pair_cap(sector, bound, prefix, degree):
-        """The cosets of the sweep, and the most candidates of one (k20, k11) pair."""
+        """The most candidates of one (k20, k11) key of the box, before the
+        y = 0 row refuses any pair: a cap that keeps the progress keys at
+        (k20, k11), and that a k20 with more passing candidates splits at."""
         tops = verify._examined_region(sector, prefix)
         cosets = verify._cosets(_bounds(degree, 2 * bound), verify._has_triangle(tops))
-        pairs = Counter()
+        keys = Counter()
         for box in cosets:
-            pairs[box[:2]] += prod(map(len, box[2:]))
-        return cosets, max(pairs.values())
+            keys[box[:2]] += prod(map(len, box[2:]))
+        return max(keys.values())
 
     def test_same_reports_progress_and_funnel_as_chunks_per_k11(self, monkeypatch):
         counts = _count_tiers(monkeypatch)
         for slope, bound, prefix in _SCREEN_CASES:
             sector = Sector(parse_slope(slope))
             for degree, (sweep, _) in _SWEEPS.items():
-                cosets, cap = self._pair_cap(sector, bound, prefix, degree)
                 runs = {}
                 for grouped in (True, False):
                     with monkeypatch.context() as patch:
-                        if not grouped:  # no k20 fits, unless k11 is pinned to 0
-                            patch.setattr(verify, "_CHUNK_ROWS", cap)
-                        depth = len(next(iter(verify._chunk_plan(cosets))))
-                        assert depth == (2 if degree == 2 and not grouped else 1)
+                        if not grouped:
+                            patch.setattr(verify, "_CHUNK_ROWS",
+                                          self._pair_cap(sector, bound, prefix, degree))
+                        plan = _plan(sector, bound, prefix, degree)[1]
+                        depths = {len(keys[-1]) for _, keys in plan}
+                        if grouped or degree == 1:  # the linear sweep pins k11 to 0
+                            assert depths == {1} and (len(plan) == 1 or not grouped)
+                        else:  # a k20 with few passing pairs may still fit whole
+                            assert 2 in depths <= {1, 2}
+                            assert depths == {2} or bound == 1
                         for workers in (1, 2):
                             counts.clear()
                             seen = []
