@@ -292,7 +292,9 @@ def _cmd_search(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
     _check_region(sector, args.prefix)
 
-    def progress(done, total):  # called once per (k20, k11) key swept, in order
+    # called once per key of the box swept, in order: a (k20, k11) pair, or finer
+    # keys that fix k02 too (and more) where one pair holds more than a chunk can
+    def progress(done, total):
         if done == total or done % max(1, total // 10) == 0:
             print(f"search: {done}/{total} chunks", file=sys.stderr)
 

@@ -83,24 +83,25 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    all arithmetic exact, and int64 otherwise.
 
 The plan (_chunk_plan) streams: it tests one k20 at a time on the y = 0
-row and groups consecutive k20 values into one chunk while their passing
-shapes times their k00 range fit _CHUNK_ROWS.  A k20 that does not fit
-alone is cut into chunks keyed on (k20, k11), then on k02, k10 and k01 as
-needed, unless a chunk is a single shape; chunks are never keyed on k00.
-Progress counts the (k20, k11) keys of the box (deeper keys where the box
-splits deeper) whatever the chunks, each when the chunk that ends it
-returns; a refused k20 counts with the next chunk, or at the end.  A sweep
-whose plan holds at most one chunk runs in process, and a pool never has
-more workers than chunks.  So a search holds the region's monomial rows,
-5 values per point whatever the bound, one k20's y = 0 row, a k02 table of
-(4*bound + 1) * columns values, and per chunk a pair table of one row per
-pair, a k01 table of that size per k11 value and the batches.  Results are
-deterministic regardless of worker count: survivors are re-sorted.
+row and cuts it into pieces at the least depth at which they fit
+_CHUNK_ROWS: the whole k20, else pieces keyed on (k20, k11), then on k02,
+k10 and k01 as needed, never on k00.  Consecutive pieces, of any depth,
+share one chunk while their candidates (shapes times their k00 range) fit
+_CHUNK_ROWS.  Progress counts the (k20, k11) keys of the box (deeper keys
+where the box splits deeper) whatever the chunks: a chunk carries to its
+worker and back the count of keys that end with it, a refused k20
+counting with the next chunk, or at the end.  A sweep whose plan holds at
+most one chunk runs in process, and a pool never has more workers than
+chunks.  So a search holds the region's monomial rows, 5 values per point
+whatever the bound, one k20's y = 0 row and a k02 table of
+(4*bound + 1) * columns values each (_TABLE_VALUES caps them), and per
+chunk a pair table of one row per pair, a k01 table of that size per k11
+value that the chunk holds, and the batches.  Results are deterministic
+regardless of worker count: survivors are re-sorted.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
@@ -450,6 +451,8 @@ _SLICE_BYTES = 1 << 17
 _GRID_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 17  # candidates per chunk at most, unless a chunk is one shape
 _SHAPE_COLUMNS = 5  # k20, k11, k02, k10, k01: the columns a chunk is keyed on and rows hold
+# the most values of the k02 table or a y = 0 row, (2*bound + 1) * columns
+_TABLE_VALUES = 10 ** 6
 
 # worker payload, installed once per process by _search_init
 _WORK: dict = {}
@@ -501,55 +504,54 @@ def _chunk_plan(cosets: list[tuple[range, ...]], tops: np.ndarray, bound: int,
     Each k20 in turn has its y = 0 row made and tested (_axis_row), and its
     cosets become boxes whose k10 column holds the passing values only, so
     no chunk holds a refused pair (k20, k10) and a k20 with every pair
-    refused makes no chunk.  Consecutive k20 values share one chunk while
-    their candidates (shapes times their k00 range) fit _CHUNK_ROWS; a k20
-    that does not fit alone splits as _depth says, on k11, then k02, k10 and
-    k01, with a fixed column as a one-value range.  A chunk's boxes hold the
-    five shape columns; the screen solves k00, so no chunk is keyed on it.
+    refused makes no chunk.  The k20 is cut into pieces at the least depth
+    at which each fits _CHUNK_ROWS (_depth): at depth 1 a piece is the whole
+    k20, and deeper it fixes k11, then k02, k10 and k01, as one-value
+    ranges.  Consecutive pieces of any depth share one chunk while their
+    candidates (shapes times their k00 range) fit _CHUNK_ROWS.  A chunk's
+    boxes hold the five shape columns; the screen solves k00.
 
-    `keys` are the key prefixes (k20, k11, ...) that end with the chunk: its
-    k20 values, or the one key that it fixes, plus any refused k20 since the
-    previous chunk.  Only the current k20's row and boxes are held.
+    `keys` are the keys (k20, k11, ...) of the chunk's pieces, plus any
+    refused k20 since the previous chunk.  Only the current k20's row and
+    boxes are held.
     """
-    group: list[tuple] = []
+    xs = np.arange(len(tops), dtype=tops.dtype)
+    k10s = np.arange(-bound, bound + 1, dtype=tops.dtype)[:, None]
+    chunk: list[tuple] = []
     keys: list[tuple[int, ...]] = []
-    filled = 0  # the group's candidates
+    filled = 0  # the chunk's candidates
     for k20 in range(-bound, bound + 1):
         boxes = [box for box in cosets if k20 in box[0]]
         if not boxes:
             continue
-        passing = _axis_row(_k10_term(k20, bound, tops), bound, even)
-        k10s = tuple(k10 for k10 in boxes[0][3] if passing[k10 + bound])  # one k10 range per k20
-        if not k10s:
+        passing = _axis_row(_pair_term(k20, k10s, xs), bound, even)
+        passed = tuple(k10 for k10 in boxes[0][3] if passing[k10 + bound])  # one k10 range per k20
+        if not passed:
             keys.append((k20,))
             continue
-        boxes = [(range(k20, k20 + 1),) + box[1:3] + (k10s,) + box[4:] for box in boxes]
+        boxes = [(range(k20, k20 + 1),) + box[1:3] + (passed,) + box[4:] for box in boxes]
         depth = _depth(boxes, 1)
-        size = sum(math.prod(map(len, box[1:])) for box in boxes)
-        if group and (depth > 1 or filled + size > _CHUNK_ROWS):
-            yield group, keys
-            group, keys, filled = [], [], 0
-        if depth == 1:
-            group.extend(box[:_SHAPE_COLUMNS] for box in boxes)
-            keys.append((k20,))
-            filled += size
-            continue
         for head in dict.fromkeys(box[:depth] for box in boxes):
+            tails = [box[depth:] for box in boxes if box[:depth] == head]
+            size = sum(math.prod(map(len, tail)) for tail in tails)
             for key in itertools.product(*head):
+                if chunk and filled + size > _CHUNK_ROWS:
+                    yield chunk, keys
+                    chunk, keys, filled = [], [], 0
                 fixed = tuple(range(v, v + 1) for v in key)
-                chunk = [fixed + box[depth:_SHAPE_COLUMNS] for box in boxes if box[:depth] == head]
-                yield chunk, keys + [key]
-                keys = []
-    if group:
-        yield group, keys
+                chunk.extend(fixed + tail[:_SHAPE_COLUMNS - depth] for tail in tails)
+                keys.append(key)
+                filled += size
+    if chunk:
+        yield chunk, keys
 
 
 def _chunk_grids(chunk: list[tuple]) -> tuple[list[tuple[int, int]], list[tuple]]:
     """The chunk's pairs (k20, k10), each once, and its grids: one per group
-    of its boxes with equal (k11, k02, k01) columns, which on the sublattice
-    means one per parity of k02, as (indices of the group's pairs, k11
-    column, k02 column, k01 column).  Every box of a chunk has the same k11
-    column."""
+    of its boxes with equal (k11, k02, k01) columns, as (indices of the
+    group's pairs, k11 column, k02 column, k01 column).  On the sublattice,
+    boxes of whole k20 values make one grid per parity of k02, and pieces
+    that fix k11 (or more) one per value that they fix."""
     pairs: dict[tuple[int, int], int] = {}
     grids: dict[tuple, list[int]] = {}
     for k20s, k11s, k02s, k10s, k01s in chunk:
@@ -576,7 +578,7 @@ def _region_rows(tops: tuple[int, ...], dtype) -> np.ndarray:
 # monomial of the region (x*t is one), so |L_x| <= 5*bound*M is exact in the
 # dtype of the region's rows.  The k02 table is made once per sweep, the
 # k20*x^2 + k10*x one per chunk for the chunk's pairs (_pair_term), and the
-# k01 one per chunk, for the chunk's k11 values.
+# k01 one per chunk, for the k11 values that the chunk holds.
 
 def _k02_term(bound: int, tops: np.ndarray) -> np.ndarray:
     """min(0, k02)*t^2, shape (2*bound + 1, columns)."""
@@ -584,28 +586,21 @@ def _k02_term(bound: int, tops: np.ndarray) -> np.ndarray:
     return np.multiply.outer(np.minimum(ks, 0), tops * tops)
 
 
-def _pair_term(pairs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """k20*x^2 + k10*x at each x of `xs`, one row per pair (k20, k10) of
-    `pairs`, shape (pairs, len(xs)): on the region's columns, also W on its
-    y = 0 row, which is the first point (x, 0) of each column."""
-    return np.multiply.outer(pairs[:, 0], xs * xs) + np.multiply.outer(pairs[:, 1], xs)
-
-
-def _k10_term(k20: int, bound: int, tops: np.ndarray) -> np.ndarray:
-    """The _pair_term of k20 beside each k10 on the region's columns, shape
-    (2*bound + 1, columns), with the row of k10 at [k10 + bound]."""
-    xs = np.arange(len(tops), dtype=tops.dtype)
-    values = np.multiply.outer(np.arange(-bound, bound + 1, dtype=tops.dtype), xs)
-    values += k20 * xs * xs
+def _pair_term(k20, k10s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """k20*x^2 + k10*x at each x of `xs`, one row per k10 of the column k10s,
+    beside k20, a scalar or a column as long: on the region's columns, also
+    W on its y = 0 row, which is the first point (x, 0) of each column."""
+    values = k10s * xs
+    values += k20 * (xs * xs)
     return values
 
 
-def _k01_term(k11s: range, bound: int, tops: np.ndarray) -> np.ndarray:
+def _k01_term(k11s, bound: int, tops: np.ndarray) -> np.ndarray:
     """min(0, k11*x + k01)*t, shape (len(k11s), 2*bound + 1, columns), with
     the rows of the i-th value of k11s at [i]."""
     xs = np.arange(len(tops), dtype=tops.dtype)
     ks = np.arange(-bound, bound + 1, dtype=tops.dtype)
-    slant = np.multiply.outer(np.arange(k11s.start, k11s.stop, k11s.step, dtype=tops.dtype), xs)
+    slant = np.multiply.outer(np.array(k11s, dtype=tops.dtype), xs)
     return np.minimum(slant[:, None, :] + ks[:, None], 0) * tops
 
 
@@ -613,7 +608,8 @@ def _axis_row(term: np.ndarray, bound: int, even: bool) -> np.ndarray:
     """Whether each k10 passes beside k20, at [k10 + bound], what _screen
     tests without a prefix, on the region's y = 0 row: values no lower than
     -bound, even unless `even` says they are known to be, and pairwise
-    distinct.  `term` is _k10_term of that k20.
+    distinct.  `term` is the _pair_term of that k20 beside every k10, with
+    the row of k10 at [k10 + bound].
 
     The row holds the first point (x, 0) of every column, where a shape's W
     is k20*x^2 + k10*x whatever k11, k02 and k01.  The row is part of the
@@ -627,17 +623,20 @@ def _axis_row(term: np.ndarray, bound: int, even: bool) -> np.ndarray:
     return row
 
 
-def _column_screen(picks: np.ndarray, pair_term: np.ndarray, k11s: range) -> np.ndarray:
+def _column_screen(picks: np.ndarray, pair_term: np.ndarray, k11s: list[int]) -> np.ndarray:
     """Exact filter of shapes by the lower bound of W on each column (see
     the tables from _k02_term on): the indices of the rows of `picks`, the
-    shapes (k20, k11, k02, k10, k01) with k11 in k11s, each followed by the
-    row of its pair in `pair_term` (the chunk's _pair_term), whose columns
-    with L_x < 2*prefix hold at least prefix points.  The others fail the
-    whole-region screen's coverage count (point 2 of the module docstring)."""
+    shapes (k20, k11, k02, k10, k01) with k11 in the sorted list k11s, each
+    followed by the row of its pair in `pair_term` (the chunk's _pair_term),
+    whose columns with L_x < 2*prefix hold at least prefix points.  The
+    others fail the whole-region screen's coverage count (point 2 of the
+    module docstring)."""
     bound, heights, prefix = _WORK["bound"], _WORK["heights"], _WORK["prefix"]
     width = 2 * bound + 1
     k01_term = _k01_term(k11s, bound, _WORK["tops"]).reshape(-1, len(heights))
-    slant = (picks[:, 1] - k11s.start) // k11s.step * width + picks[:, 4] + bound
+    slot = np.zeros(width, dtype=picks.dtype)  # each k11's first table row, at [k11 + bound]
+    slot[np.array(k11s) + bound] = np.arange(0, len(k11s) * width, width)
+    slant = slot[picks[:, 1] + bound] + picks[:, 4] + bound
     k02s, pair_rows = picks[:, 2] + bound, picks[:, 5]
     kept = []
     for s in _slices(len(picks), len(heights), heights.itemsize):
@@ -671,22 +670,16 @@ def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
     return kept
 
 
-def _tier_values(shapes: np.ndarray) -> np.ndarray:
-    """W at every region point of the shapes (k20, k11, k02, k10, k01), one
-    row per shape."""
-    # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
-    return np.einsum("ij,jk->ik", shapes, _WORK["rows"])
-
-
 def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
     """Batches of rows whose values at `points` points fill about _SLICE_BYTES."""
     step = max(1, _SLICE_BYTES // (points * itemsize))
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def _search_chunk(chunk: list[tuple]) -> list[tuple[int, ...]]:
-    """Screen one chunk of the plan (see _chunk_plan); returns surviving
-    numerator tuples.
+def _search_chunk(task: tuple[list[tuple], int]) -> tuple[list[tuple[int, ...]], int]:
+    """Screen one chunk of the plan (see _chunk_plan), given with the count
+    of progress keys that end with it; returns surviving numerator tuples
+    and that count.
 
     The chunk's boxes become grids of (pair, k11, k02, k01), the pairs
     (k20, k10) being the ones that passed the y = 0 row (see _chunk_grids).
@@ -694,12 +687,14 @@ def _search_chunk(chunk: list[tuple]) -> list[tuple[int, ...]]:
     plus the sum of three per-axis terms; they are made in batches of pairs
     of about _GRID_BYTES.  The shapes left carry the row of their pair into
     the column screen, and the whole-region screen multiplies all five
-    monomial rows, as k20 varies within a chunk."""
+    monomial rows, as k20 and k11 vary within a chunk."""
+    chunk, ticks = task
     rows, even = _WORK["rows"], _WORK["even"]
     pairs, grids = _chunk_grids(chunk)
     pairs = np.array(pairs, dtype=rows.dtype)
+    k20s, k10s = pairs[:, :1], pairs[:, 1:]
     first = rows[:, :_SCREEN_POINTS]
-    pair_first = _pair_term(pairs, first[3])  # x^2 is x*x, so the x row serves both
+    pair_first = _pair_term(k20s, k10s, first[3])  # x^2 is x*x, so the x row serves both
     picks = []
     for index, *columns in grids:
         index = np.array(index, dtype=rows.dtype)
@@ -721,17 +716,19 @@ def _search_chunk(chunk: list[tuple]) -> list[tuple[int, ...]]:
     picks = np.concatenate(picks)
     if len(picks):  # second tier: the lower bound of W on each column
         xs = np.arange(len(_WORK["tops"]), dtype=rows.dtype)
-        picks = picks[_column_screen(picks, _pair_term(pairs, xs), chunk[0][1])]
+        k11s = sorted(set().union(*(box[1] for box in chunk)))
+        picks = picks[_column_screen(picks, _pair_term(k20s, k10s, xs), k11s)]
     # whole region: the survivors' values by multiply-add, in batches of bounded size
     shapes = picks[:, :_SHAPE_COLUMNS]
     out: list[tuple[int, ...]] = []
     for s in _slices(len(shapes), rows.shape[1], rows.itemsize):
-        values = _tier_values(shapes[s])
+        # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
+        values = np.einsum("ij,jk->ik", shapes[s], rows)
         kept = _screen(values, even, _WORK["prefix"])
         lo = -values[kept].min(axis=1)
         del values
         out.extend((*shape, k00) for shape, k00 in zip(shapes[s][kept].tolist(), lo.tolist()))
-    return out
+    return out, ticks
 
 
 def _poly_from_numerators(nums: tuple[int, ...]) -> QuadPoly:
@@ -758,6 +755,8 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     worst = 6 * bound * reach * reach
     if worst >= 2 ** 62:
         raise SectorPackError("search region too large for the integer screen")
+    if (2 * bound + 1) * len(tops) > _TABLE_VALUES:
+        raise SectorPackError("coefficient bound too large for the screen's tables")
     dtype = np.int32 if max(worst, 2 * prefix) < _INT32_LIMIT else np.int64
 
     bounds = (bound,) * 6 if degree == 2 else (0, 0, 0, bound, bound, bound)
@@ -784,14 +783,9 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
         return sum(math.prod(map(len, head[len(key):])) for head in ticked
                    if all(v in r for v, r in zip(key, head)))
 
-    plan = _chunk_plan(cosets, tops_row, bound, sublattice)
+    plan = ((chunk, sum(map(ticks, keys)))
+            for chunk, keys in _chunk_plan(cosets, tops_row, bound, sublattice))
     leading = list(itertools.islice(plan, workers or os.cpu_count() or 1))
-    ending = collections.deque()  # the keys that end with each chunk handed out
-
-    def chunks() -> Iterator[list[tuple]]:
-        for chunk, keys in itertools.chain(leading, plan):
-            ending.append(keys)
-            yield chunk
 
     def tick(done: int, upto: int) -> int:
         if progress:
@@ -799,11 +793,11 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
                 progress(step, total)
         return upto
 
-    def collect(parts: Iterator[list]) -> None:
+    def collect(parts: Iterator[tuple[list, int]]) -> None:
         done = 0
-        for part in parts:
+        for part, count in parts:
             found.extend(part)
-            done = tick(done, done + sum(map(ticks, ending.popleft())))
+            done = tick(done, done + count)
         tick(done, total)  # refused keys with no chunk after them
 
     found: list[tuple[int, ...]] = []
@@ -811,11 +805,11 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     if len(leading) > 1:  # no idle worker processes, and no pool for one chunk
         with multiprocessing.Pool(len(leading), initializer=_search_init,
                                   initargs=(payload,)) as pool:
-            collect(pool.imap(_search_chunk, chunks()))
+            collect(pool.imap(_search_chunk, itertools.chain(leading, plan)))
     else:
         _search_init(payload)
         try:
-            collect(map(_search_chunk, chunks()))
+            collect(map(_search_chunk, itertools.chain(leading, plan)))
         finally:
             _WORK.clear()
     del payload  # the region's monomial rows are not needed by the certification below

@@ -535,6 +535,12 @@ class TestBoundedMemory:
         assert out == ('{"sector":"1/3","degree":1,"coeff_bound":10,"prefix":166666,'
                        '"survivors":[],"exhausted":true}\n')
 
+    def test_a_bound_past_the_screen_tables_is_refused(self):
+        child = self.spawn("search", "--slope", "1", "--bound", "100000000", "--prefix", "1")
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out) == (1, "")
+        assert err == "error: coefficient bound too large for the screen's tables\n"
+
     def test_prefix_over_the_region_limit_is_refused(self):
         child = self.spawn("verify", "--family", "cantor-f", "--prefix", "10000000000")
         out, err = child.communicate(timeout=60)

@@ -476,6 +476,11 @@ class TestSearch:
             linear_impossibility_check(I1, 2, 0)
         with pytest.raises(SectorPackError, match="workers must be positive, got 0"):
             search_quadratic(I1, 1, 50, workers=0)
+        # prefix 1 on slope 1 examines 3 columns, where a k02 table of bound
+        # 10**8 would hold (4*10**8 + 1) * 3 values; bound 2000 holds 24,003
+        for sweep in (search_quadratic, linear_impossibility_check):
+            with pytest.raises(SectorPackError, match="coefficient bound too large"):
+                sweep(I1, 10 ** 8, 1)
 
     def test_report_json_shape(self):
         report = linear_impossibility_check(Sector(Slope(3, 2)), 2, 100)
@@ -624,6 +629,13 @@ class TestScreenVariants:
         _assert_fail_the_whole_region(dropped)
 
 
+def _axis_term(k20, bound, tops, dtype):
+    """W on the region's y = 0 row for k20 beside every k10, as the chunk plan
+    makes it: the row of k10 at [k10 + bound]."""
+    return verify._pair_term(k20, np.arange(-bound, bound + 1, dtype=dtype)[:, None],
+                             np.arange(len(tops), dtype=dtype))
+
+
 class TestAxisScreen:
     """The (k20, k10) test on the region's y = 0 row, which the chunk plan runs first."""
 
@@ -665,8 +677,8 @@ class TestAxisScreen:
             tops = verify._examined_region(Sector(parse_slope(slope)), prefix)
             even, b = verify._has_triangle(tops), 2 * bound
             for k20 in range(-b, b + 1):
-                passing, wide = (verify._axis_row(verify._k10_term(k20, b, np.array(tops, dtype)),
-                                                  b, even) for dtype in (np.int32, np.int64))
+                passing, wide = (verify._axis_row(_axis_term(k20, b, tops, dtype), b, even)
+                                 for dtype in (np.int32, np.int64))
                 assert (wide == passing).all()
                 for k10 in range(-b, b + 1):
                     row = [k20 * x * x + k10 * x for x in range(len(tops))]
@@ -685,8 +697,7 @@ class TestAxisScreen:
                     assert boxes
                     for box in boxes:
                         [k20] = box[0]
-                        passing = verify._axis_row(
-                            verify._k10_term(k20, b, np.array(tops, np.int64)), b, even)
+                        passing = verify._axis_row(_axis_term(k20, b, tops, np.int64), b, even)
                         assert box[3] and all(passing[k10 + b] for k10 in box[3]), (slope, k20)
         # the bench sweeps: every k20 < 0 is refused, and the rest fit one chunk
         for slope, bound in (("1/3", 3), ("1", 2)):
@@ -744,8 +755,10 @@ class TestColumnScreen:
         k11s = range(-bound, bound + 1)
         for dtype in (np.int32, np.int64):
             row = np.array(tops, dtype=dtype)
-            low = (verify._k02_term(bound, row)[k02 + bound]
-                   + verify._k10_term(k20, bound, row)[k10 + bound]
+            # k20 as a column beside k10s, as _search_chunk gives its pairs
+            pair = verify._pair_term(np.array([[k20]], dtype), np.array([[k10]], dtype),
+                                     np.arange(len(tops), dtype=dtype))
+            low = (verify._k02_term(bound, row)[k02 + bound] + pair[0]
                    + verify._k01_term(k11s, bound, row)[k11s.index(k11), k01 + bound])
             for x, top in enumerate(tops):
                 least = min(k20 * x * x + k11 * x * y + k02 * y * y + k10 * x + k01 * y
@@ -850,8 +863,8 @@ class TestChunkPlan:
 
 class TestPairPlan:
     """A chunk that holds whole k20 values, with their passing pairs as one
-    grid axis, finds what the chunks of (k20, k11) keys find, and reports
-    the same progress."""
+    grid axis, finds what chunks of (k20, k11) pieces find, where one chunk
+    may hold pieces of several k11 values, and reports the same progress."""
 
     @staticmethod
     def _pair_cap(sector, bound, prefix, degree):
@@ -867,6 +880,16 @@ class TestPairPlan:
 
     def test_same_reports_progress_and_funnel_as_chunks_per_k11(self, monkeypatch):
         counts = _count_tiers(monkeypatch)
+        column_screen = verify._column_screen
+        most_k11s = 0  # the most k11 columns of one chunk's boxes under the cap
+        dropped = {}  # per case, the shapes that the column screen drops under the cap
+
+        def drop_spy(picks, *tables):
+            kept = column_screen(picks, *tables)
+            shapes = np.delete(picks, kept, 0)[:, :verify._SHAPE_COLUMNS]
+            dropped.setdefault((slope, bound, prefix), []).extend(map(tuple, shapes.tolist()))
+            return kept
+
         for slope, bound, prefix in _SCREEN_CASES:
             sector = Sector(parse_slope(slope))
             for degree, (sweep, _) in _SWEEPS.items():
@@ -876,7 +899,11 @@ class TestPairPlan:
                         if not grouped:
                             patch.setattr(verify, "_CHUNK_ROWS",
                                           self._pair_cap(sector, bound, prefix, degree))
+                            patch.setattr(verify, "_column_screen", drop_spy)
                         plan = _plan(sector, bound, prefix, degree)[1]
+                        if not grouped:
+                            most_k11s = max(most_k11s, *(len({box[1] for box in boxes})
+                                                         for boxes, _ in plan))
                         depths = {len(keys[-1]) for _, keys in plan}
                         if grouped or degree == 1:  # the linear sweep pins k11 to 0
                             assert depths == {1} and (len(plan) == 1 or not grouped)
@@ -895,6 +922,9 @@ class TestPairPlan:
                     assert runs[True, workers] == runs[False, workers], (case, workers)
                 assert runs[True, 1][:2] == runs[True, 2][:2], case
                 assert runs[True, 1][2]["48", "in"] > 0, case
+        assert most_k11s > 1
+        assert any(dropped.values())
+        _assert_fail_the_whole_region(dropped)
 
 
 class TestHasTriangle:
