@@ -136,7 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", type=_integer_option, default=1000)
     p.add_argument("--degree", type=_integer_option, choices=(1, 2), default=2)
     p.add_argument("--workers", type=_integer_option, metavar="N",
-                   help="worker processes (default: one per CPU)")
+                   help="worker processes, capped at one per CPU (the default)")
+    p.epilog = ("Progress goes to stderr as 'search: N/M keys'.  A key is a pair of x^2 and "
+                "xy numerators of the box, or, where one pair holds more candidates than a "
+                "chunk, a finer key that fixes the y^2 numerator too (and more if needed).")
 
     p = add("basis", "free basis of the sector semigroup, if it exists")
     p.add_argument("--slope", required=True)
@@ -296,7 +299,7 @@ def _cmd_search(args) -> tuple[Iterable[str], int]:
     # keys that fix k02 too (and more) where one pair holds more than a chunk can
     def progress(done, total):
         if done == total or done % max(1, total // 10) == 0:
-            print(f"search: {done}/{total} chunks", file=sys.stderr)
+            print(f"search: {done}/{total} keys", file=sys.stderr)
 
     run = search_quadratic if args.degree == 2 else linear_impossibility_check
     report = run(sector, args.bound, args.prefix, workers=args.workers, progress=progress)

@@ -50,18 +50,19 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    so only the full-box fallback tests parity.  The full screen also needs
    {0..prefix-1} to occur, so 0 occurs and k00 = -min W: each surviving
    shape is one candidate, and exactly prefix points have
-   W < 2*prefix - k00 <= 2*prefix.  The tests run in four steps:
+   W < 2*prefix - k00 <= 2*prefix.  One row test (_passing_rows) asks the
+   rest of a row of W, sorted once.  The tiers run in turn:
    - the region's y = 0 row, where W = k20*x^2 + k10*x whatever k11, k02
-     and k01: a pair (k20, k10) that fails there fails the whole region
-     for every shape that holds it, so the chunk plan drops it, and no
-     chunk holds it;
-   - the first 48 region points;
+     and k01, through the row test: a pair (k20, k10) that fails there
+     fails the whole region for every shape that holds it, so the chunk
+     plan drops it, and no chunk holds it;
+   - the first 48 region points, through the row test;
    - one lower bound per column: on column x with top t,
      W >= L_x = k20*x^2 + k10*x + min(0, k02)*t^2 + min(0, k11*x + k01)*t,
      so each of the prefix points lies in a column with L_x < 2*prefix,
      and a shape whose such columns hold fewer points fails coverage;
-   - the whole region, where the coverage count runs before the sort that
-     tests distinctness.
+   - the whole region: the coverage count, then the row test on the
+     shapes that it keeps.
 3. Values are built from the monomial rows x^2, xy, y^2, x and y of the
    region, computed once per search.  A chunk holds pairs (k20, k10) that
    passed the y = 0 row, often of many k20 values, and its grids are
@@ -69,10 +70,10 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    k01 ranges (on the sublattice, one per parity of k02).  The 48-point
    screen adds to each pair's row k20*x^2 + k10*x the broadcast products
    of the k11, k02 and k01 values with their monomial rows, in batches of
-   pairs of about _GRID_BYTES of values.  The column screen adds one row of
-   each of three small tables, one per term of L, and weighs each column
-   with L_x < 2*prefix by its height: the k02 table is made once per
-   sweep, and the pair table (k20*x^2 + k10*x, one row per pair) and the
+   pairs of about _GRID_BYTES of values (_slices).  The column screen
+   adds one row of each of three small tables, one per term of L, and
+   weighs each column with L_x < 2*prefix by its height: the k02 table is
+   made once per sweep, and the pair table (k20*x^2 + k10*x, one row per pair) and the
    k01 table (for the chunk's k11 values) once per chunk.  The
    whole-region screen multiplies and adds all five monomial rows for the
    shapes that are left, as k20 varies within a chunk.  Both work in
@@ -83,17 +84,18 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    all arithmetic exact, and int64 otherwise.
 
 The plan (_chunk_plan) streams: it tests one k20 at a time on the y = 0
-row and cuts it into pieces at the least depth at which they fit
-_CHUNK_ROWS: the whole k20, else pieces keyed on (k20, k11), then on k02,
-k10 and k01 as needed, never on k00.  Consecutive pieces, of any depth,
-share one chunk while their candidates (shapes times their k00 range) fit
-_CHUNK_ROWS.  Progress counts the (k20, k11) keys of the box (deeper keys
-where the box splits deeper) whatever the chunks: a chunk carries to its
-worker and back the count of keys that end with it, a refused k20
-counting with the next chunk, or at the end.  A sweep whose plan holds at
-most one chunk runs in process, and a pool never has more workers than
-chunks.  So a search holds the region's monomial rows, 5 values per point
-whatever the bound, one k20's y = 0 row and a k02 table of
+row, made for its cosets' k10 range only (_axis_row), and cuts it into
+pieces at the least depth at which they fit _CHUNK_ROWS: the whole k20,
+else pieces keyed on (k20, k11), then on k02, k10 and k01 as needed,
+never on k00.  Consecutive pieces, of any depth, share one chunk while
+their candidates (shapes times their k00 range) fit _CHUNK_ROWS.
+Progress counts the (k20, k11) keys of the box (deeper keys where the box
+splits deeper) whatever the chunks: a chunk carries to its worker and back
+the count of keys that end with it, a refused k20 counting with the next
+chunk, or at the end.  A sweep whose plan holds at most one chunk runs in
+process, and a pool never has more workers than chunks or CPUs.  So a
+search holds the region's monomial rows, 5 values per point whatever the
+bound, one k20's y = 0 row and a k02 table of
 (4*bound + 1) * columns values each (_TABLE_VALUES caps them), and per
 chunk a pair table of one row per pair, a k01 table of that size per k11
 value that the chunk holds, and the batches.  Results are deterministic
@@ -108,6 +110,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -124,6 +127,9 @@ from .poly import PolyLike, QuadPoly, _quad_to_object
 _COVERAGE_MARGIN = 4
 _BLOCK_POINTS = 1 << 15  # values made at a time by _column_values, unless a column is longer
 _INT32_LIMIT = 2 ** 31  # values below this in magnitude fit int32, in verify and in the screens
+# the most bytes of Python-int values that _column_values makes: on Linux x86-64 under a
+# 512 MiB address space, a million 700-digit values fit and 750-digit ones do not
+_OBJECT_BYTES = 340 * 2 ** 20
 
 
 def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
@@ -320,7 +326,9 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     each monomial and each partial sum, of the matmul and of Horner's rule.
     The values are int32 when that bound, L and the point count (which
     bounds every point index) are all below _INT32_LIMIT, int64 when they
-    are below 2^63, and Python ints in an object array otherwise.
+    are below 2^63, and Python ints in an object array otherwise.  Those
+    take a pointer and an int object each, which the bound sizes: past
+    _OBJECT_BYTES in all, the region is refused before any is made.
     """
     scale = math.lcm(*(den for den, _ in forms))
     table = [[scale // den * k for k in coeffs] for den, coeffs in forms]
@@ -329,6 +337,10 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     size = max(max(sum(map(abs, row)) for row in table), 1)
     worst = max(scale, points, size * reach * reach)
     dtype = np.int32 if worst < _INT32_LIMIT else np.int64 if worst < 2 ** 63 else object
+    per_value = 8 + sys.getsizeof(worst)  # a pointer and an int object of the bound's size
+    if dtype is object and points * per_value > _OBJECT_BYTES:
+        raise SectorPackError(f"values too large to hold: {points} points "
+                              f"of up to {per_value} bytes each")
     heights, monomials, blocks = _column_layout(tops, len(forms), dtype)
     # per branch: (first index, x^2, x, 1) -> (first index, c, b*x + e, a*x^2 + d*x + g),
     # the first index carried along so that one np.repeat spreads all four
@@ -516,7 +528,6 @@ def _chunk_plan(cosets: list[tuple[range, ...]], tops: np.ndarray, bound: int,
     boxes are held.
     """
     xs = np.arange(len(tops), dtype=tops.dtype)
-    k10s = np.arange(-bound, bound + 1, dtype=tops.dtype)[:, None]
     chunk: list[tuple] = []
     keys: list[tuple[int, ...]] = []
     filled = 0  # the chunk's candidates
@@ -524,8 +535,7 @@ def _chunk_plan(cosets: list[tuple[range, ...]], tops: np.ndarray, bound: int,
         boxes = [box for box in cosets if k20 in box[0]]
         if not boxes:
             continue
-        passing = _axis_row(_pair_term(k20, k10s, xs), bound, even)
-        passed = tuple(k10 for k10 in boxes[0][3] if passing[k10 + bound])  # one k10 range per k20
+        passed = _axis_row(k20, boxes[0][3], xs, bound, even)  # one k10 range per k20
         if not passed:
             keys.append((k20,))
             continue
@@ -604,23 +614,24 @@ def _k01_term(k11s, bound: int, tops: np.ndarray) -> np.ndarray:
     return np.minimum(slant[:, None, :] + ks[:, None], 0) * tops
 
 
-def _axis_row(term: np.ndarray, bound: int, even: bool) -> np.ndarray:
-    """Whether each k10 passes beside k20, at [k10 + bound], what _screen
-    tests without a prefix, on the region's y = 0 row: values no lower than
-    -bound, even unless `even` says they are known to be, and pairwise
-    distinct.  `term` is the _pair_term of that k20 beside every k10, with
-    the row of k10 at [k10 + bound].
-
-    The row holds the first point (x, 0) of every column, where a shape's W
-    is k20*x^2 + k10*x whatever k11, k02 and k01.  The row is part of the
-    region, so a pair the row refuses fails the whole-region screen for
-    every shape that holds it.
-    """
-    values = np.sort(term, axis=1)
-    row = (values[:, 0] >= -bound) & (values[:, 1:] != values[:, :-1]).all(axis=1)
+def _passing_rows(values: np.ndarray, bound: int, even: bool) -> np.ndarray:
+    """Whether some k00 in the box passes each row of W, with no prefix
+    (point 2 of the module docstring): sorted once, the row's least value is
+    at least -bound, no neighbours are equal and, unless `even`, all are even."""
+    ordered = np.sort(values, axis=1)
+    keep = (ordered[:, 0] >= -bound) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     if not even:
-        row &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
-    return row
+        keep &= (np.bitwise_or.reduce(ordered, axis=1) & 1) == 0
+    return keep
+
+
+def _axis_row(k20: int, k10s: range, xs: np.ndarray, bound: int, even: bool) -> tuple[int, ...]:
+    """The k10 of k10s whose y = 0 row beside k20, W = k20*x^2 + k10*x at
+    each x of xs, passes _passing_rows: the row holds the first point of
+    every column, whatever k11, k02 and k01."""
+    ks = np.arange(k10s.start, k10s.stop, k10s.step, dtype=xs.dtype)
+    passing = np.flatnonzero(_passing_rows(_pair_term(k20, ks[:, None], xs), bound, even))
+    return tuple(ks[passing].tolist())
 
 
 def _column_screen(picks: np.ndarray, pair_term: np.ndarray, k11s: list[int]) -> np.ndarray:
@@ -639,7 +650,7 @@ def _column_screen(picks: np.ndarray, pair_term: np.ndarray, k11s: list[int]) ->
     slant = slot[picks[:, 1] + bound] + picks[:, 4] + bound
     k02s, pair_rows = picks[:, 2] + bound, picks[:, 5]
     kept = []
-    for s in _slices(len(picks), len(heights), heights.itemsize):
+    for s in _slices(len(picks), heights.nbytes, _SLICE_BYTES):
         low = _WORK["k02_term"].take(k02s[s], axis=0) + pair_term.take(pair_rows[s], axis=0)
         low += k01_term.take(slant[s], axis=0)
         # exact: einsum adds integers in their own dtype, with no BLAS
@@ -653,26 +664,21 @@ def _screen(values: np.ndarray, even: bool, prefix: int | None) -> np.ndarray:
     """Exact filter of shapes by their values W = 2*f - k00 at the first
     points (one row per shape, 0 at the origin): the indices of the rows for
     which some k00 in the box passes (point 2 of the module docstring).
-    `even` says the values are known even, as on the sublattice.  Coverage of
-    {0..prefix-1} by distinct nonnegative integers is a count, which runs
-    first as it is cheaper than the sort it spares."""
-    lo = -values.min(axis=1)  # the least k00 that makes 2*f nonnegative
-    keep = lo <= _WORK["bound"]
-    if not even:
-        keep &= (np.bitwise_or.reduce(values, axis=1) & 1) == 0
+    `even` says the values are known even, as on the sublattice.  With a
+    prefix, coverage of {0..prefix-1} by distinct nonnegative integers is a
+    count, which runs first as it is cheaper than the sort of _passing_rows
+    that it spares."""
+    kept = np.arange(len(values))
     if prefix is not None:
-        keep &= (values < (2 * prefix - lo)[:, None]).sum(axis=1) == prefix
-    kept = np.flatnonzero(keep)
-    if kept.size:
-        ordered = values[kept]
-        ordered.sort(axis=1)
-        kept = kept[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-    return kept
+        lo = -values.min(axis=1)  # the least k00 that makes 2*f nonnegative
+        kept = np.flatnonzero((values < (2 * prefix - lo)[:, None]).sum(axis=1) == prefix)
+        values = values[kept]
+    return kept[_passing_rows(values, _WORK["bound"], even)]
 
 
-def _slices(rows: int, points: int, itemsize: int) -> Iterator[slice]:
-    """Batches of rows whose values at `points` points fill about _SLICE_BYTES."""
-    step = max(1, _SLICE_BYTES // (points * itemsize))
+def _slices(rows: int, row_bytes: int, budget: int) -> Iterator[slice]:
+    """Batches of rows of `row_bytes` each that fill about `budget` bytes."""
+    step = max(1, budget // row_bytes)
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
@@ -701,9 +707,8 @@ def _search_chunk(task: tuple[list[tuple], int]) -> tuple[list[tuple[int, ...]],
         axes = [np.arange(r.start, r.stop, r.step, dtype=rows.dtype) for r in columns]
         terms = [np.multiply.outer(a, row) for a, row in zip(axes, first[[1, 2, 4]])]
         inner = (terms[0][:, None, None] + terms[1][:, None]) + terms[2]
-        step = max(1, _GRID_BYTES // inner.nbytes)  # pairs per batch
-        for start in range(0, len(index), step):
-            batch = index[start:start + step]
+        for s in _slices(len(index), inner.nbytes, _GRID_BYTES):
+            batch = index[s]
             values = pair_first[batch, None, None, None] + inner
             kept = _screen(values.reshape(-1, values.shape[-1]), even, None)
             at, i11, i02, i01 = np.unravel_index(kept, values.shape[:4])
@@ -721,7 +726,7 @@ def _search_chunk(task: tuple[list[tuple], int]) -> tuple[list[tuple[int, ...]],
     # whole region: the survivors' values by multiply-add, in batches of bounded size
     shapes = picks[:, :_SHAPE_COLUMNS]
     out: list[tuple[int, ...]] = []
-    for s in _slices(len(shapes), rows.shape[1], rows.itemsize):
+    for s in _slices(len(shapes), rows[0].nbytes, _SLICE_BYTES):
         # exact: einsum multiplies and adds integers in their own dtype, with no BLAS
         values = np.einsum("ij,jk->ik", shapes[s], rows)
         kept = _screen(values, even, _WORK["prefix"])
@@ -785,7 +790,8 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
 
     plan = ((chunk, sum(map(ticks, keys)))
             for chunk, keys in _chunk_plan(cosets, tops_row, bound, sublattice))
-    leading = list(itertools.islice(plan, workers or os.cpu_count() or 1))
+    cpus = os.cpu_count() or 1
+    leading = list(itertools.islice(plan, min(workers or cpus, cpus)))
 
     def tick(done: int, upto: int) -> int:
         if progress:
@@ -802,7 +808,7 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
 
     found: list[tuple[int, ...]] = []
 
-    if len(leading) > 1:  # no idle worker processes, and no pool for one chunk
+    if len(leading) > 1:  # no more workers than CPUs or chunks, and no pool for one chunk
         with multiprocessing.Pool(len(leading), initializer=_search_init,
                                   initargs=(payload,)) as pool:
             collect(pool.imap(_search_chunk, itertools.chain(leading, plan)))

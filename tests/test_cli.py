@@ -488,7 +488,7 @@ class TestBoundedMemory:
                            "--workers", "1")
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
-        assert err.splitlines()[-1] == "search: 45/45 chunks"
+        assert err.splitlines()[-1] == "search: 45/45 keys"
         assert json.loads(out)["survivors"] == [{"x2": "1/2", "xy": "-2", "y2": "2", "x": "1/2"}]
 
     def peak(self, *argv):
@@ -525,13 +525,22 @@ class TestBoundedMemory:
         assert (status, out) == (3, "FAIL fail: collision at ((1333, 1333), (1334, 0))\n")
         assert peak < 60 * 2 ** 20
 
+    def test_verify_refuses_values_too_large_to_hold(self):
+        # a million Python ints of 1,000 digits would not fit: one error line,
+        # before any is made
+        child = self.spawn("verify", "--poly", '{"x2":"1/2","x":"1/2","y":"%s"}' % ("7" * 1000),
+                           "--slope", "1", "--prefix", "250000")
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out) == (1, "")
+        assert err == "error: values too large to hold: 1000405 points of up to 480 bytes each\n"
+
     def test_linear_search_at_a_high_bound(self):
         # the screens hold five monomial rows of the region whatever the bound
         child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "10",
                            "--degree", "1", "--workers", "1")
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
-        assert err.splitlines()[-1] == "search: 1/1 chunks"
+        assert err.splitlines()[-1] == "search: 1/1 keys"
         assert out == ('{"sector":"1/3","degree":1,"coeff_bound":10,"prefix":166666,'
                        '"survivors":[],"exhausted":true}\n')
 

@@ -427,6 +427,7 @@ class TestSearch:
     def test_starts_no_more_workers_than_chunks(self, monkeypatch):
         started = []
         monkeypatch.setattr(verify.multiprocessing, "Pool", _in_process_pool(started))
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)  # CPUs are not the cap here
         # a cap that splits the plan into chunks, one of them keyed on (k20, k11)
         monkeypatch.setattr(verify, "_CHUNK_ROWS", 100)
         serial = search_quadratic(I1, 1, 120, workers=1)
@@ -441,10 +442,20 @@ class TestSearch:
         linear_impossibility_check(I1, 1, 120, workers=64)  # one chunk: no pool
         assert started == [units]
 
+    def test_starts_no_more_workers_than_cpus(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(verify.multiprocessing, "Pool", _in_process_pool(started))
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", 100)  # more chunks than CPUs, as above
+        serial = search_quadratic(I1, 1, 120, workers=1)
+        assert search_quadratic(I1, 1, 120, workers=1000) == serial
+        assert search_quadratic(I1, 1, 120) == serial  # the default is one per CPU
+        assert started == [2, 2] and len(_plan(I1, 1, 120, 2)[1]) > 2
+
     def test_a_sweep_with_every_pair_refused_runs_no_chunk(self, monkeypatch):
         started = []
         monkeypatch.setattr(verify.multiprocessing, "Pool", _in_process_pool(started))
-        monkeypatch.setattr(verify, "_axis_row", lambda term, bound, even: np.zeros(len(term), bool))
+        monkeypatch.setattr(verify, "_axis_row", lambda k20, k10s, xs, bound, even: ())
         monkeypatch.setattr(verify, "_search_chunk", None)  # a chunk would raise
         for sweep in (search_quadratic, linear_impossibility_check):
             seen = []
@@ -630,8 +641,8 @@ class TestScreenVariants:
 
 
 def _axis_term(k20, bound, tops, dtype):
-    """W on the region's y = 0 row for k20 beside every k10, as the chunk plan
-    makes it: the row of k10 at [k10 + bound]."""
+    """W on the region's y = 0 row for k20 beside every k10 of the box, as
+    _axis_row makes it for a coset's k10 range: the row of k10 at [k10 + bound]."""
     return verify._pair_term(k20, np.arange(-bound, bound + 1, dtype=dtype)[:, None],
                              np.arange(len(tops), dtype=dtype))
 
@@ -648,7 +659,7 @@ class TestAxisScreen:
             with monkeypatch.context() as patch:
                 if passing:
                     patch.setattr(verify, "_axis_row",
-                                  lambda term, bound, even: np.ones(len(term), bool))
+                                  lambda k20, k10s, xs, bound, even: tuple(k10s))
                 runs.append([sweep(Sector(parse_slope(slope)), bound, prefix, workers=1)
                              for slope, bound, prefix in cases
                              for sweep in (search_quadratic, linear_impossibility_check)])
@@ -677,7 +688,7 @@ class TestAxisScreen:
             tops = verify._examined_region(Sector(parse_slope(slope)), prefix)
             even, b = verify._has_triangle(tops), 2 * bound
             for k20 in range(-b, b + 1):
-                passing, wide = (verify._axis_row(_axis_term(k20, b, tops, dtype), b, even)
+                passing, wide = (verify._passing_rows(_axis_term(k20, b, tops, dtype), b, even)
                                  for dtype in (np.int32, np.int64))
                 assert (wide == passing).all()
                 for k10 in range(-b, b + 1):
@@ -697,7 +708,8 @@ class TestAxisScreen:
                     assert boxes
                     for box in boxes:
                         [k20] = box[0]
-                        passing = verify._axis_row(_axis_term(k20, b, tops, np.int64), b, even)
+                        passing = verify._passing_rows(_axis_term(k20, b, tops, np.int64), b,
+                                                       even)
                         assert box[3] and all(passing[k10 + b] for k10 in box[3]), (slope, k20)
         # the bench sweeps: every k20 < 0 is refused, and the rest fit one chunk
         for slope, bound in (("1/3", 3), ("1", 2)):
