@@ -12,9 +12,9 @@ in batches, so their memory does not grow with --count (json included).
 A coordinate too long to print (past Python's digit limit) ends the stream
 with the error line of an argument that long and status 1; rows of earlier
 batches may be out by then on stdout, but an --out file is removed.
-`verify` and `search` must hold their examined region, max(4, 2s) * prefix
-points for slope r/s, so a prefix whose region exceeds _REGION_LIMIT points
-is refused before any of it is built.
+`verify` and `search` must hold their examined region, the fewest columns
+holding max(4, 2s) * prefix points for slope r/s: a prefix whose target, or
+whose region's last column alone, exceeds _REGION_LIMIT points is refused.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (iter_sector, linear_impossibility_check, region_target, search_quadratic,
-                     verify_packing)
+from .verify import (_examined_region, iter_sector, linear_impossibility_check, region_target,
+                     search_quadratic, verify_packing)
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
@@ -227,8 +227,10 @@ def _json_list(key: str, items: Iterable[str]) -> Iterator[str]:
 
 
 def _check_region(sector: Sector, prefix: int) -> None:
-    """Refuse a prefix whose examined region would not fit the stated memory."""
+    """Refuse a region whose target, or whose last (tallest) column alone, passes the limit."""
     size = region_target(sector, prefix)
+    if size <= _REGION_LIMIT and (tops := _examined_region(sector, prefix))[-1] >= _REGION_LIMIT:
+        size = sum(tops) + len(tops)
     if size > _REGION_LIMIT:
         raise SectorPackError(f"prefix {prefix} needs a region of {size} points, "
                               f"above the limit of {_REGION_LIMIT}")

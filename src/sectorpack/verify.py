@@ -13,13 +13,15 @@ order interleaves s such column walks, one per class of x mod s.
 sector: values must be nonnegative integers, pairwise distinct, and cover
 {0..prefix-1}.  The examined region holds a slope-dependent multiple of
 `prefix` points so that every preimage of a small value is actually looked
-at.  Integrality costs O(1) per branch: a quadratic with integer values on
-one lattice triangle is integer-valued everywhere (Polya), and a branch's
+at.  One column rule (_column_terms) serves every evaluation: on column x,
+branch x mod p of a period-p candidate is (c*y + b*x + e)*y + (a*x + d)*x + g.
+Integrality costs O(1) per branch: a quadratic with integer values on one
+lattice triangle is integer-valued everywhere (Polya), and a branch's
 columns hold such a triangle unless the region is small, where its columns
-are checked one by one.  Then a numpy pass writes the region's values into
-one array, evaluated flat over whole columns with every branch scaled to
-one common denominator, so that one scalar division ends it: int32 or
-int64 where a bound proves every step exact, and Python ints otherwise.
+are checked one by one.  Then numpy gathers each column's branch, scaled to
+one common denominator, and runs Horner's rule over whole columns into one
+array, which one scalar division ends: int32 or int64 where a bound proves
+every step exact, and Python ints otherwise.
 One sort follows: the first value shows a negative one, equal neighbours
 a repeat, and the sorted values show at a glance whether {0..prefix-1}
 occurs.  Only a failure walks the points, until the first one, to name
@@ -73,8 +75,8 @@ same box with the x^2, xy and y^2 columns pinned to 0.
    pairs of about _GRID_BYTES of values (_slices).  The column screen
    adds one row of each of three small tables, one per term of L, and
    weighs each column with L_x < 2*prefix by its height: the k02 table is
-   made once per sweep, and the pair table (k20*x^2 + k10*x, one row per pair) and the
-   k01 table (for the chunk's k11 values) once per chunk.  The
+   made once per sweep, and the pair table (k20*x^2 + k10*x, one row per
+   pair) and the k01 table (for the chunk's k11 values) once per chunk.  The
    whole-region screen multiplies and adds all five monomial rows for the
    shapes that are left, as k20 varies within a chunk.  Both work in
    batches of about _SLICE_BYTES of values.  With M the largest monomial
@@ -246,6 +248,13 @@ def _has_triangle(tops: tuple[int, ...]) -> bool:
     return len(tops) >= 3 and tops[-3] >= 2
 
 
+def _column_terms(coeffs, x) -> tuple:
+    """Column x's terms (c, b*x + e, (a*x + d)*x + g): the numerator there is
+    (c*y + b*x + e)*y + (a*x + d)*x + g.  On Python ints, or numpy columns."""
+    a, b, c, d, e, g = coeffs
+    return c, b * x + e, (a * x + d) * x + g
+
+
 def _integer_valued(forms: list, tops: tuple[int, ...]) -> bool:
     """Whether every value on the region is an integer, with O(1) work per
     branch when its columns hold a lattice triangle.
@@ -255,33 +264,29 @@ def _integer_valued(forms: list, tops: tuple[int, ...]) -> bool:
     _has_triangle), it is an integer on them iff it is one on all of Z^2,
     and so iff it is one on the triangle i + y <= 2, the columns i = 0, 1, 2
     with tops 2, 1, 0.  Otherwise (only small regions) every column of the
-    class is checked.  A column is a quadratic in y whose numerator is
-    a*x^2 + d*x + g at y = 0 and steps up by b*x + c + e + 2*c*y, so its
-    values are integers iff den divides the first value, the first step
-    (when the column has two points) and the second difference 2*c (when it
-    has three).
+    class is checked.  With its terms (c, linear, constant), a column's
+    numerator is constant at y = 0 and steps up by linear + c + 2*c*y, so
+    its values are integers iff den divides the first value, the first step
+    (if it has two points) and the second difference 2*c (if three).
     """
     period = len(forms)
-    for ell, (den, (a, b, c, d, e, g)) in enumerate(forms):
+    for ell, (den, coeffs) in enumerate(forms):
         columns = tops[ell::period]
         if _has_triangle(columns):
             columns = (2, 1, 0)
         for i, top in enumerate(columns):
-            x = ell + period * i
-            if ((a * x * x + d * x + g) % den or (top and (b * x + c + e) % den)
-                    or (top > 1 and 2 * c % den)):
+            c, linear, constant = _column_terms(coeffs, ell + period * i)
+            if constant % den or (top and (linear + c) % den) or (top > 1 and 2 * c % den):
                 return False
     return True
 
 
 @functools.lru_cache(maxsize=16)
 def _column_layout(tops: tuple[int, ...], period: int, dtype) -> tuple:
-    """What _column_values needs of the region, whatever the candidate:
+    """The region's geometry, whatever the candidate, for _column_values:
 
     - each column's number of points, as the counts of np.repeat;
-    - each column's first point index, x^2, x and 1, shape (period, 4, m),
-      with column x = ell + period*i at [ell, :, i] (0 past the last column),
-      so that the branch of row ell acts on its columns by one matmul;
+    - each column's first point index and x, of dtype, and its branch x mod period;
     - the blocks (x0, x1, start, stop): columns x0..x1-1, which hold the
       points start..stop-1, at most _BLOCK_POINTS of them unless one column
       is longer.
@@ -291,20 +296,17 @@ def _column_layout(tops: tuple[int, ...], period: int, dtype) -> tuple:
     """
     heights = np.array(tops, dtype=np.int64) + 1
     ends = np.cumsum(heights)
-    xs = np.arange(len(tops)).astype(dtype)
-    width = -(-len(tops) // period) * period  # the columns, rounded up to whole periods
-    monomials = np.zeros((4, width), dtype=dtype)
-    for row, monomial in zip(monomials, [ends - heights, xs * xs, xs, 1]):
-        row[:len(tops)] = monomial
+    indices = np.arange(len(tops))
+    firsts, xs, branches = (ends - heights).astype(dtype), indices.astype(dtype), indices % period
     blocks, x0 = [], 0
     while x0 < len(tops):
         start = int(ends[x0] - heights[x0])
         x1 = max(x0 + 1, int(np.searchsorted(ends, start + _BLOCK_POINTS, "right")))
         blocks.append((x0, x1, start, int(ends[x1 - 1])))
         x0 = x1
-    monomials = monomials.reshape(4, -1, period).transpose(2, 0, 1)
-    heights.flags.writeable = monomials.flags.writeable = False
-    return heights, monomials, tuple(blocks)
+    for array in (heights, firsts, xs, branches):
+        array.flags.writeable = False
+    return heights, firsts, xs, branches, tuple(blocks)
 
 
 def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
@@ -313,18 +315,16 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
 
     The region is evaluated flat, with no rectangle and no mask.  Every
     branch is scaled to L, the lcm of the branch denominators, so that one
-    division by the Python int L ends the evaluation.  Each column takes
-    c, b*x + e and a*x^2 + d*x + g of its branch once, by one matmul of a
-    4x4 matrix per branch with the column monomials of _column_layout, and
-    np.repeat spreads them over the column's points.  There Horner's rule
-    (c*y + b*x + e)*y + a*x^2 + d*x + g runs on a block of whole columns,
-    about _BLOCK_POINTS values at a time, with the ys of the block as its
-    point indices less the first index of each point's column.
+    division by the Python int L ends it.  Each column gathers the row of
+    its branch x mod p from the scaled table and takes its terms once
+    (_column_terms); np.repeat spreads them over its points, where Horner's
+    rule in y runs on a block of whole columns, about _BLOCK_POINTS values
+    at a time, with y a point's index less its column's first index.
 
-    Each term of a scaled numerator is at most |its coefficient| * M^2 in
-    size, for M the largest x or y of the region (at least 1), and so is
-    each monomial and each partial sum, of the matmul and of Horner's rule.
-    The values are int32 when that bound, L and the point count (which
+    Every term and partial sum of Horner's rule, in x and in y, is at most
+    size * M^2 in magnitude, for size the largest sum of |coefficients| of
+    a scaled branch and M the largest x or y of the region (each at least
+    1).  The values are int32 when that bound, L and the point count (which
     bounds every point index) are all below _INT32_LIMIT, int64 when they
     are below 2^63, and Python ints in an object array otherwise.  Those
     take a pointer and an int object each, which the bound sizes: past
@@ -341,12 +341,9 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     if dtype is object and points * per_value > _OBJECT_BYTES:
         raise SectorPackError(f"values too large to hold: {points} points "
                               f"of up to {per_value} bytes each")
-    heights, monomials, blocks = _column_layout(tops, len(forms), dtype)
-    # per branch: (first index, x^2, x, 1) -> (first index, c, b*x + e, a*x^2 + d*x + g),
-    # the first index carried along so that one np.repeat spreads all four
-    maps = np.array([[(1, 0, 0, 0), (0, 0, 0, c), (0, 0, b, e), (0, a, d, g)]
-                     for a, b, c, d, e, g in table], dtype=dtype)
-    columns = (maps @ monomials).transpose(1, 2, 0).reshape(4, -1)  # back to column order
+    heights, firsts, xs, branches, blocks = _column_layout(tops, len(forms), dtype)
+    terms = _column_terms(np.array(list(zip(*table)), dtype=dtype).take(branches, axis=1), xs)
+    columns = np.array([firsts, *terms], dtype=dtype)  # so that one np.repeat spreads all four
     values = np.empty(points, dtype=dtype)
     for x0, x1, start, stop in blocks:
         ys, c, linear, constant = np.repeat(columns[:, x0:x1], heights[x0:x1], axis=1)
@@ -366,12 +363,12 @@ def _walk_points(forms: list, tops: tuple[int, ...],
     in column order until the first one; the region must hold a failure.
     `repeated` is None, or the values that the sort saw more than once, and
     then only those are recorded on the way."""
-    period = len(forms)
     seen: dict[int, Point] = {}
     for x, top in enumerate(tops):
-        den, (a, b, c, d, e, g) = forms[x % period]
+        den, coeffs = forms[x % len(forms)]
+        c, linear, constant = _column_terms(coeffs, x)
         for y in range(top + 1):
-            num = a * x * x + b * x * y + c * y * y + d * x + e * y + g
+            num = (c * y + linear) * y + constant
             if num % den:
                 return "non-integer", (x, y)
             value = num // den

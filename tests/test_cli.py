@@ -556,3 +556,24 @@ class TestBoundedMemory:
         assert (child.returncode, out) == (1, "")
         assert err == ("error: prefix 10000000000 needs a region of 40000000000 points, "
                        "above the limit of 1000000\n")
+
+    @pytest.mark.parametrize("argv,points", [
+        (["verify", "--family", "steep-f:7000000"], 7000002),
+        (["search", "--slope", "7000000", "--bound", "1"], 7000002),
+        (["verify", "--family", "steep-f:1000000"], 1000002),
+    ], ids=["verify", "search", "verify-one-past"])
+    def test_a_steep_region_past_the_limit_is_refused(self, argv, points):
+        # the target is 4 points, but the fewest whole columns that hold them
+        # are (0, 0) and column 1, which holds one point more than the slope
+        child = self.spawn(*argv, "--prefix", "1")
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out) == (1, "")
+        assert err == (f"error: prefix 1 needs a region of {points} points, "
+                       "above the limit of 1000000\n")
+
+    def test_a_last_column_at_the_limit_is_accepted(self):
+        # column 1 of slope 999,999 holds 1,000,000 points
+        child = self.spawn("verify", "--family", "steep-f:999999", "--prefix", "1")
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (0, "")
+        assert out == "PASS pass (1000001 points, columns 0..1)\n"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sectorpack import (OrderKind, PackingVerdict, QuadPoly, QuasiPoly, Sector,
                         SectorPackError, Slope, cantor, enumerate_sector,
                         linear_impossibility_check, parse_slope,
-                        search_quadratic, steep, verify, verify_packing)
+                        quasi_h, search_quadratic, steep, verify, verify_packing)
 
 from family_zoo import all_families
 
@@ -367,6 +367,18 @@ class TestColumnScan:
         for prefix in (1, 7, 60):
             assert verify_packing(third, I1, prefix) == _walk_verdict(third, I1, prefix)
         assert scales == {6}
+
+    def test_a_period_longer_than_the_region(self):
+        # quasi:9/10 at prefix 1 examines 7 columns for period 10, so three
+        # branches serve no column and no branch serves two
+        family = quasi_h(9, 10)
+        tops = verify._examined_region(family.sector, 1)
+        assert (len(tops), family.form.period) == (7, 10)
+        verdict = verify_packing(family.form, family.sector, 1)
+        assert verdict.describe() == "pass (22 points, columns 0..6)"
+        for shift in (1, _HALF):
+            f = QuasiPoly(10, [b + QuadPoly.constant(shift) for b in family.form.branches])
+            assert verify_packing(f, family.sector, 1) == _walk_verdict(f, family.sector, 1), shift
 
     def test_matches_point_walk_on_shifted_families(self):
         # near-packings: each verdict kind but "collision" shows here
