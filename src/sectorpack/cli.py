@@ -14,7 +14,8 @@ with the error line of an argument that long and status 1; rows of earlier
 batches may be out by then on stdout, but an --out file is removed.
 `verify` and `search` must hold their examined region, the fewest columns
 holding max(4, 2s) * prefix points for slope r/s: a prefix whose target, or
-whose region's last column alone, exceeds _REGION_LIMIT points is refused.
+whose region's last column alone, exceeds _REGION_LIMIT points is refused
+(verify.check_region), and a prefix below 1 by the command itself.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (_examined_region, iter_sector, linear_impossibility_check, region_target,
-                     search_quadratic, verify_packing)
+from .verify import (check_region, iter_sector, linear_impossibility_check, search_quadratic,
+                     verify_packing)
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
@@ -226,16 +227,6 @@ def _json_list(key: str, items: Iterable[str]) -> Iterator[str]:
     return chain((f'{{"{key}": [',), _joined(", ", items), ("]}",))
 
 
-def _check_region(sector: Sector, prefix: int) -> None:
-    """Refuse a region whose target, or whose last (tallest) column alone, passes the limit."""
-    size = region_target(sector, prefix)
-    if size <= _REGION_LIMIT and (tops := _examined_region(sector, prefix))[-1] >= _REGION_LIMIT:
-        size = sum(tops) + len(tops)
-    if size > _REGION_LIMIT:
-        raise SectorPackError(f"prefix {prefix} needs a region of {size} points, "
-                              f"above the limit of {_REGION_LIMIT}")
-
-
 # Each command checks its arguments, then returns its output as pieces of text
 # (one piece for a one-shot result) and the exit status.  The pieces may be made
 # lazily: every check has run by the time main opens the output.  A one-shot
@@ -282,7 +273,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
         if args.slope is None:
             raise SectorPackError("--poly needs --slope")
         candidate, sector = deserialize(args.poly), Sector(parse_slope(args.slope))
-    _check_region(sector, args.prefix)
+    check_region(sector, args.prefix, _REGION_LIMIT)
     verdict = verify_packing(candidate, sector, args.prefix)
     status = 0 if verdict.ok else 3
     if args.format == "json":
@@ -295,7 +286,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
 
 def _cmd_search(args) -> tuple[Iterable[str], int]:
     sector = Sector(parse_slope(args.slope))
-    _check_region(sector, args.prefix)
+    check_region(sector, args.prefix, _REGION_LIMIT)
 
     # called once per key of the box swept, in order: a (k20, k11) pair, or finer
     # keys that fix k02 too (and more) where one pair holds more than a chunk can

@@ -123,10 +123,7 @@ import numpy as np
 from .core import OrderKind, Point, Sector, SectorPackError
 from .poly import PolyLike, QuadPoly, _quad_to_object
 
-# Base examined-region size as a multiple of the requested prefix; the
-# effective margin is max(_COVERAGE_MARGIN, 2s) for slope denominator s, see
-# _examined_region.
-_COVERAGE_MARGIN = 4
+_COVERAGE_MARGIN = 4  # the least examined points per prefix value, see region_target
 _BLOCK_POINTS = 1 << 15  # values made at a time by _column_values, unless a column is longer
 _INT32_LIMIT = 2 ** 31  # values below this in magnitude fit int32, in verify and in the screens
 # the most bytes of Python-int values that _column_values makes: on Linux x86-64 under a
@@ -206,6 +203,17 @@ def region_target(sector: Sector, prefix: int) -> int:
     """The number of points the examined region is sized to hold at least:
     max(_COVERAGE_MARGIN, 2s) * prefix for slope r/s (see _examined_region)."""
     return max(_COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
+
+
+def check_region(sector: Sector, prefix: int, limit: int) -> None:
+    """Refuse a region whose target, or whose last (tallest) column alone, holds more
+    than limit points, so an accepted one holds fewer than 2*limit; prefix < 1 passes."""
+    size = region_target(sector, prefix)
+    if 0 < size <= limit and (tops := _examined_region(sector, prefix))[-1] >= limit:
+        size = sum(tops) + len(tops)
+    if size > limit:
+        raise SectorPackError(f"prefix {prefix} needs a region of {size} points, "
+                              f"above the limit of {limit}")
 
 
 @functools.lru_cache(maxsize=16)

@@ -351,6 +351,17 @@ class TestPlumbing:
         assert run(capsys, *argv, "--out", str(target)) == (1, "", f"error: {message}\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv,prefix", [
+        (["verify", "--family", "quasi:3/2"], "0"),
+        (["verify", "--family", "cantor-f"], "0"),
+        (["verify", "--family", "cantor-f"], "-3"),
+        (["search", "--slope", "1"], "0"),
+    ], ids=["verify-finite", "verify-quadrant", "verify-negative", "search"])
+    def test_a_prefix_below_one_is_a_domain_error(self, capsys, argv, prefix):
+        # the region limit lets it through to the command's own check
+        assert run(capsys, *argv, "--prefix", prefix) \
+            == (1, "", f"error: prefix must be positive, got {prefix}\n")
+
     def test_bad_slope_is_domain_error(self, capsys):
         status, _, err = run(capsys, "basis", "--slope", "0")
         assert status == 1
