@@ -268,12 +268,13 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
         if args.slope is not None:
             raise SectorPackError("--slope is for --poly; a family fixes its own sector")
         family = parse_family(args.family)
+        check_region(family.sector, args.prefix, _REGION_LIMIT)  # before form: a branch per class
         candidate, sector = family.form, family.sector
     else:
         if args.slope is None:
             raise SectorPackError("--poly needs --slope")
         candidate, sector = deserialize(args.poly), Sector(parse_slope(args.slope))
-    check_region(sector, args.prefix, _REGION_LIMIT)
+        check_region(sector, args.prefix, _REGION_LIMIT)
     verdict = verify_packing(candidate, sector, args.prefix)
     status = 0 if verdict.ok else 3
     if args.format == "json":

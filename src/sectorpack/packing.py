@@ -18,15 +18,18 @@ counted from the top of the block when `top_down`.  The point's rank is
 counts from p's block coordinates, which also decide membership; unrank(n)
 solves the block-prefix quadratic for a with `math.isqrt`, exact at any
 magnitude; and walk() lists the points in rank order block by block, with
-no solving.
+no solving.  None of them builds anything per residue class (c is worked
+out where it is read, and walk() begins a class when the round robin first
+reaches it), so a long period costs nothing up front; only `form` has one
+branch per class.  `Slope` and `PackingFamily` alone check the parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
-from math import gcd, isqrt
+from itertools import chain, count, cycle, repeat
+from math import isqrt
 from typing import Iterator, Union
 
 from .core import (OrderKind, OutsideSectorError, Point, Sector, SectorPackError, Slope,
@@ -82,8 +85,9 @@ class PackingFamily:
         return f"{head}:{slope.r}/{slope.s}"
 
     @cached_property
-    def _model(self) -> tuple[int, int, int, bool, tuple[int, ...]]:
-        """(r, d, period, top_down, cs): block a of class ell has r*a + cs[ell] points.
+    def _model(self) -> tuple[int, int, int, bool]:
+        """(r, d, period, top_down): block a of class ell has r*a + c points,
+        c = r*ell // period + 1.
 
         One tuple, so rank and unrank take the whole model in one unpacking.
         """
@@ -92,15 +96,15 @@ class PackingFamily:
             d, period = 0, s
         else:
             d, period = (s - 1) // r, 1
-        cs = tuple(r * ell // period + 1 for ell in range(period))
-        return r, d, period, self.order.top_down, cs
+        return r, d, period, self.order.top_down
 
     @cached_property
     def form(self) -> Union[QuadPoly, QuasiPoly]:
         """The rank in x and y: one quadratic per residue class of x mod period."""
-        r, d, period, top_down, cs = self._model
+        r, d, period, top_down = self._model
         branches = []
-        for ell, c in enumerate(cs):
+        for ell in range(period):
+            c = r * ell // period + 1
             a = (_X - ell * _ONE - d * _Y) / period
             offset = r * a + (c - 1) * _ONE - _Y if top_down else _Y
             count = r * (a * (a - _ONE)) / 2 + c * a + offset
@@ -120,9 +124,9 @@ class PackingFamily:
         * quasi (period s, d = 0): r*a + c - 1 = floor(r*x/s) for x = s*a + ell.
         """
         x, y = p
-        r, d, period, top_down, cs = self._model
+        r, d, period, top_down = self._model
         a, ell = divmod(x - d * y, period)
-        c = cs[ell]
+        c = r * ell // period + 1 if ell else 1  # ell = 0 on the line orders: no division
         size = r * a + c
         if not 0 <= y < size:
             raise OutsideSectorError(
@@ -133,9 +137,9 @@ class PackingFamily:
         """The unique sector point with rank n; total on the nonnegative integers."""
         if n < 0:
             raise SectorPackError(f"rank must be nonnegative, got {n}")
-        r, d, period, top_down, cs = self._model
+        r, d, period, top_down = self._model
         m, ell = divmod(n, period)
-        c = cs[ell]
+        c = r * ell // period + 1 if ell else 1
         # largest a >= 0 with r*a*(a-1)/2 + c*a <= m: the floor of the positive
         # root of r*a^2 + b*a - 2m, exact because isqrt floors the discriminant
         b = 2 * c - r
@@ -149,16 +153,16 @@ class PackingFamily:
 
         Each block is a C-level zip of ranges, so Python code runs once per
         block, not once per point; the classes interleave round-robin, as
-        rank = period*m + ell.
+        rank = period*m + ell, each begun when the round first reaches it.
         """
         period = self._model[2]
-        walks = [chain.from_iterable(self._blocks(ell)) for ell in range(period)]
-        return walks[0] if period == 1 else chain.from_iterable(zip(*walks))
+        walks = (chain.from_iterable(self._blocks(ell)) for ell in range(period))
+        return next(walks) if period == 1 else map(next, cycle(walks))
 
     def _blocks(self, ell: int) -> Iterator[Iterator[Point]]:
         """The points of class ell's blocks a = 0, 1, ..., each block in rank order."""
-        r, d, period, top_down, cs = self._model
-        c = cs[ell]
+        r, d, period, top_down = self._model
+        c = r * ell // period + 1
         for a in count():
             size, x = r * a + c, period * a + ell
             ys = range(size - 1, -1, -1) if top_down else range(size)
@@ -189,27 +193,12 @@ def steep(variant: str, r: int) -> PackingFamily:
     F counts each column bottom-up: r*x*(x-1)/2 + x + y.
     G counts each column top-down:  r*x*(x+1)/2 + x - y.
     """
-    return PackingFamily(_variant_order(variant, _COLUMNS), _integer_sector(r))
-
-
-def _integer_sector(r: int) -> Sector:
-    if r < 1:
-        raise SectorPackError(f"slope must be a positive integer, got {r}")
-    return Sector(Slope(r, 1))
-
-
-def _coprime_sector(r: int, s: int) -> Sector:
-    """The sector of slope r/s, for positive coprime parameters taken literally."""
-    if r < 1 or s < 1:
-        raise SectorPackError(f"parameters must be positive, got ({r}, {s})")
-    if gcd(r, s) != 1:
-        raise SectorPackError(f"parameters ({r}, {s}) are not coprime")
-    return Sector(Slope(r, s))
+    return PackingFamily(_variant_order(variant, _COLUMNS), Sector(Slope(r, 1)))
 
 
 def divides(variant: str, r: int, s: int) -> PackingFamily:
     """Packing polynomials on the slope-r/s sector when r divides s-1, by slanted blocks."""
-    return PackingFamily(_variant_order(variant, _BLOCKS), _coprime_sector(r, s))
+    return PackingFamily(_variant_order(variant, _BLOCKS), Sector(Slope(r, s)))
 
 
 def quasi_h(r: int, s: int) -> PackingFamily:
@@ -219,13 +208,13 @@ def quasi_h(r: int, s: int) -> PackingFamily:
     packing polynomial into every s-th value.  For s = 1 the single branch
     collapses to the integer-slope polynomial steep("F", r).
     """
-    return PackingFamily(OrderKind.RESIDUE_INTERLEAVED, _coprime_sector(r, s))
+    return PackingFamily(OrderKind.RESIDUE_INTERLEAVED, Sector(Slope(r, s)))
 
 
 def parse_family(name: str) -> PackingFamily:
     """Build a family from its CLI name (cantor-f, steep-g:3, div-f:2/3, quasi:3/2).
 
-    Parameters are taken literally: div-f:2/4 is rejected rather than reduced.
+    Parameters are taken literally: `Slope` rejects div-f:2/4 rather than reducing it.
     """
     head, sep, params = name.partition(":")
     order = _ORDERS.get(head)
@@ -236,11 +225,11 @@ def parse_family(name: str) -> PackingFamily:
     if order is None or not sep:
         raise SectorPackError(f"unknown family {name!r}")
     if order in _COLUMNS:
-        return PackingFamily(order, _integer_sector(_parse_param_int(params)))
+        return PackingFamily(order, Sector(Slope(_parse_param_int(params), 1)))
     num, slash, den = params.partition("/")
     r = _parse_param_int(num)
     s = _parse_param_int(den) if slash else 1
-    return PackingFamily(order, _coprime_sector(r, s))
+    return PackingFamily(order, Sector(Slope(r, s)))
 
 
 def _parse_param_int(token: str) -> int:

@@ -153,9 +153,9 @@ def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
     if slope.is_infinite:
         raise SectorPackError(f"{order.value} requires a finite slope")
     if order is OrderKind.RESIDUE_INTERLEAVED:
-        # the columns of each class ell of x mod s, interleaved round-robin
-        columns = [_lines(sector, 0, False, ell, slope.s) for ell in range(slope.s)]
-        return itertools.chain.from_iterable(zip(*columns))
+        # the columns of each class ell of x mod s, round-robin, each begun when first reached
+        columns = (_lines(sector, 0, False, ell, slope.s) for ell in range(slope.s))
+        return map(next, itertools.cycle(columns))
     if order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
         if (slope.s - 1) % slope.r:
             raise SectorPackError(f"{order.value} requires a slope r/s with r | s-1, got {slope}")
@@ -765,6 +765,8 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     worst = 6 * bound * reach * reach
     if worst >= 2 ** 62:
         raise SectorPackError("search region too large for the integer screen")
+    if 5 * len(tops) > _TABLE_VALUES:  # 2*2 + 1 values a column at bound 1, the least
+        raise SectorPackError(f"search region of {len(tops)} columns too wide for the screen's tables")
     if (2 * bound + 1) * len(tops) > _TABLE_VALUES:
         raise SectorPackError("coefficient bound too large for the screen's tables")
     dtype = np.int32 if max(worst, 2 * prefix) < _INT32_LIMIT else np.int64

@@ -86,6 +86,14 @@ class TestEval:
         status, _, _ = run(capsys, "eval", "--family", "div-f:2/4", "--point", "0,0")
         assert status == 1
 
+    @pytest.mark.parametrize("family,message", [
+        ("quasi:2/4", "slope 2/4 is not in lowest terms"),
+        ("steep-f:0", "invalid slope pair (0, 1)"),
+    ])
+    def test_a_bad_family_parameter_is_refused_by_its_slope(self, capsys, family, message):
+        status, out, err = run(capsys, "eval", "--family", family, "--point", "0,0")
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestUnrank:
     def test_example(self, capsys):
@@ -475,6 +483,15 @@ class TestBoundedMemory:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 preexec_fn=cap_address_space)
 
+    def finish(self, *argv):
+        """(status, stdout, stderr) of sector-pack argv, killed if it outlives a minute."""
+        child = self.spawn(*argv)
+        try:
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        return child.returncode, out, err
+
     @pytest.mark.parametrize("argv,head", [
         (["layout", "--family", "cantor-f"], ["offset,x,y", "0,0,0", "1,1,0", "2,0,1"]),
         (["enumerate", "--slope", "1", "--order", "column-bottom-up"],
@@ -560,6 +577,35 @@ class TestBoundedMemory:
         out, err = child.communicate(timeout=60)
         assert (child.returncode, out) == (1, "")
         assert err == "error: coefficient bound too large for the screen's tables\n"
+
+    def test_a_region_too_wide_for_the_screen_tables_is_refused(self):
+        # 600,000 columns of slope 1/400000: too wide at every bound, down to 1
+        status, out, err = self.finish("search", "--slope", "1/400000", "--bound", "1",
+                                       "--prefix", "1")
+        assert (status, out) == (1, "")
+        assert err == "error: search region of 600000 columns too wide for the screen's tables\n"
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["eval", "--family", "quasi:1/100000000", "--point", "0,0"], ["0"]),
+        (["unrank", "--family", "quasi:2/100000001", "--rank", "5"], ["5,0"]),
+        (["layout", "--family", "quasi:1/3000000", "--count", "3"],
+         ["offset,x,y", "0,0,0", "1,1,0", "2,2,0"]),
+        (["enumerate", "--slope", "1/3000000", "--order", "residue-interleaved", "--count", "3"],
+         ["0,0", "1,0", "2,0"]),
+    ], ids=["eval", "unrank", "layout", "enumerate"])
+    def test_a_long_period_costs_nothing_up_front(self, argv, lines):
+        # rank, unrank and the walks keep nothing per residue class, so a
+        # period of millions answers at once
+        status, out, err = self.finish(*argv)
+        assert (status, err) == (0, "")
+        assert out.splitlines() == lines
+
+    def test_a_long_period_is_refused_before_its_form_is_built(self):
+        # the form has one branch per class: 2,000,000 of them would not fit
+        status, out, err = self.finish("verify", "--family", "quasi:1/2000000", "--prefix", "1")
+        assert (status, out) == (1, "")
+        assert err == ("error: prefix 1 needs a region of 4000000 points, "
+                       "above the limit of 1000000\n")
 
     def test_prefix_over_the_region_limit_is_refused(self):
         child = self.spawn("verify", "--family", "cantor-f", "--prefix", "10000000000")

@@ -206,7 +206,7 @@ class TestWalk:
 
 def _block_point(family, ell, a, offset):
     """Offset `offset` of block a in residue class ell, as the block model places it."""
-    r, d, period, top_down, _ = family._model
+    r, d, period, top_down = family._model
     c = r * ell // period + 1
     j = r * a + c - 1 - offset if top_down else offset
     return (period * a + ell + d * j, j)
@@ -214,7 +214,7 @@ def _block_point(family, ell, a, offset):
 
 def _block_rank(family, ell, a, offset):
     """Ranks before block a of class ell, plus the offset, interleaved by period."""
-    r, _, period, _, _ = family._model
+    r, _, period, _ = family._model
     c = r * ell // period + 1
     return period * (r * a * (a - 1) // 2 + c * a + offset) + ell
 
@@ -243,7 +243,7 @@ class TestBlockModel:
         # every sector point lies in exactly one block; with the form test
         # above, rank(unrank(n)) is a bijection onto the sector for all n.
         for family in all_families(10):
-            r, d, period, _, _ = family._model
+            r, d, period, _ = family._model
             s = family.sector.slope.s
             assert (s - r * d == 1 and period == 1) or (d == 0 and period == s), family.name
 

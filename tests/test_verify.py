@@ -505,6 +505,12 @@ class TestSearch:
             with pytest.raises(SectorPackError, match="coefficient bound too large"):
                 sweep(I1, 10 ** 8, 1)
 
+    def test_refuses_a_region_past_the_exact_screen(self):
+        # column 1 of slope 10**10 reaches y = 10**10, where 6 * 2 * reach^2
+        # passes 2**62, so int64 would not hold the values exactly
+        with pytest.raises(SectorPackError, match="search region too large for the integer screen"):
+            search_quadratic(Sector(Slope(10 ** 10, 1)), 1, 1)
+
     def test_report_json_shape(self):
         report = linear_impossibility_check(Sector(Slope(3, 2)), 2, 100)
         obj = json.loads(report.to_json())
