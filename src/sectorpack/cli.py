@@ -34,8 +34,8 @@ from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
-from .verify import (check_region, iter_sector, linear_impossibility_check, search_quadratic,
-                     verify_packing)
+
+# verify imports numpy, so enumerate, verify and search import it in their own bodies
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
@@ -252,6 +252,7 @@ def _cmd_unrank(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_enumerate(args) -> tuple[Iterable[str], int]:
+    from .verify import iter_sector
     sector = Sector(parse_slope(args.slope))
     points = iter_sector(sector, _order_for(args.order), args.count)
     if args.format == "json":
@@ -262,6 +263,7 @@ def _cmd_enumerate(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_verify(args) -> tuple[Iterable[str], int]:
+    from .verify import check_region, verify_packing
     if (args.family is None) == (args.poly is None):
         raise SectorPackError("verify needs exactly one of --family or --poly")
     if args.family is not None:
@@ -286,6 +288,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_search(args) -> tuple[Iterable[str], int]:
+    from .verify import check_region, linear_impossibility_check, search_quadratic
     sector = Sector(parse_slope(args.slope))
     check_region(sector, args.prefix, _REGION_LIMIT)
 

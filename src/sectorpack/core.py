@@ -45,7 +45,7 @@ class Slope:
         if self.r < 1 or self.s < 0:
             raise SlopeSyntaxError(f"invalid slope pair ({self.r}, {self.s})")
         if self.s == 0 and self.r != 1:
-            raise SlopeSyntaxError("the infinite slope must be stored as (1, 0)")
+            raise SlopeSyntaxError(f"denominator 0 is not a finite slope, got {self.r}/0")
         if gcd(self.r, self.s) != 1:
             raise SlopeSyntaxError(f"slope {self.r}/{self.s} is not in lowest terms")
 

@@ -14,6 +14,15 @@ counted from the top of the block when `top_down`.  The point's rank is
 * quasi H interleaves the s residue classes of x: period s and d = 0;
 * the G variants count each line top-down.
 
+On the line orders, which are every family of period 1 (quasi r/1 too),
+there is one class, ell = 0 and c = 1, and block a is the line K = x - d*y
+itself, of r*K + 1 points: p is in it iff 0 <= y <= r*K, and the count
+above becomes
+
+    K*(r*(K-1) + 2)/2 + offset,   offset = r*K - y top-down, else y,
+
+which `rank` and `unrank` use directly, with no division by the period.
+
 `form` writes the count above in x and y, for the proofs to check; rank(p)
 counts from p's block coordinates, which also decide membership; unrank(n)
 solves the block-prefix quadratic for a with `math.isqrt`, exact at any
@@ -119,27 +128,42 @@ class PackingFamily:
         Write x - d*y = period*a + ell.  p is in block a of class ell iff
         0 <= y < r*a + c, which forces a >= 0 as c <= r, and this is sector
         membership (on a finite slope, y >= 0 and s*y <= r*x give x >= 0):
-        * line orders (period 1, c = 1, r*d = s - 1; the quadrant has s = 0):
-          y < r*(x - d*y) + 1 is s*y <= r*x;
+        * line orders (period 1, r*d = s - 1; the quadrant has s = 0):
+          ell = 0, c = 1 and a is the line K = x - d*y, so the test is
+          0 <= y <= r*K, which is s*y <= r*x, and the rank
+          r*K*(K-1)/2 + K + offset is K*(r*(K-1) + 2)/2 + offset, taken with
+          no divmod by the period;
         * quasi (period s, d = 0): r*a + c - 1 = floor(r*x/s) for x = s*a + ell.
         """
         x, y = p
         r, d, period, top_down = self._model
-        a, ell = divmod(x - d * y, period)
-        c = r * ell // period + 1 if ell else 1  # ell = 0 on the line orders: no division
-        size = r * a + c
-        if not 0 <= y < size:
-            raise OutsideSectorError(
-                f"point {p} is outside the sector of slope {self.sector.slope}")
-        return period * (r * a * (a - 1) // 2 + c * a + (size - 1 - y if top_down else y)) + ell
+        if period == 1:
+            k = x - d * y
+            if 0 <= y <= r * k:
+                return k * (r * (k - 1) + 2) // 2 + (r * k - y if top_down else y)
+        else:
+            a, ell = divmod(x, period)  # d = 0 on the interleave
+            c = r * ell // period + 1
+            size = r * a + c
+            if 0 <= y < size:
+                return period * (r * a * (a - 1) // 2 + c * a
+                                 + (size - 1 - y if top_down else y)) + ell
+        raise OutsideSectorError(f"point {p} is outside the sector of slope {self.sector.slope}")
 
     def unrank(self, n: int) -> Point:
-        """The unique sector point with rank n; total on the nonnegative integers."""
+        """The unique sector point with rank n; total on the nonnegative integers.
+
+        n = period*m + ell; on the line orders (period 1) m = n, ell = 0 and
+        c = 1, so a is the line K and no divmod is taken.
+        """
         if n < 0:
             raise SectorPackError(f"rank must be nonnegative, got {n}")
         r, d, period, top_down = self._model
-        m, ell = divmod(n, period)
-        c = r * ell // period + 1 if ell else 1
+        if period == 1:
+            m, ell, c = n, 0, 1
+        else:
+            m, ell = divmod(n, period)
+            c = r * ell // period + 1
         # largest a >= 0 with r*a*(a-1)/2 + c*a <= m: the floor of the positive
         # root of r*a^2 + b*a - 2m, exact because isqrt floors the discriminant
         b = 2 * c - r

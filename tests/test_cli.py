@@ -89,6 +89,8 @@ class TestEval:
     @pytest.mark.parametrize("family,message", [
         ("quasi:2/4", "slope 2/4 is not in lowest terms"),
         ("steep-f:0", "invalid slope pair (0, 1)"),
+        ("quasi:2/0", "denominator 0 is not a finite slope, got 2/0"),
+        ("div-f:2/0", "denominator 0 is not a finite slope, got 2/0"),
     ])
     def test_a_bad_family_parameter_is_refused_by_its_slope(self, capsys, family, message):
         status, out, err = run(capsys, "eval", "--family", family, "--point", "0,0")
@@ -483,11 +485,12 @@ class TestBoundedMemory:
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 preexec_fn=cap_address_space)
 
-    def finish(self, *argv):
-        """(status, stdout, stderr) of sector-pack argv, killed if it outlives a minute."""
-        child = self.spawn(*argv)
+    def finish(self, *argv, timeout=60, code=None):
+        """(status, stdout, stderr) of spawn(*argv, code=code), killed if it
+        outlives timeout seconds."""
+        child = self.spawn(*argv, code=code)
         try:
-            out, err = child.communicate(timeout=60)
+            out, err = child.communicate(timeout=timeout)
         finally:
             child.kill()
         return child.returncode, out, err
@@ -512,10 +515,9 @@ class TestBoundedMemory:
 
     def test_search_at_the_region_limit(self):
         # 999,996 examined points: the monomial rows and the screen batches fit
-        child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "2",
-                           "--workers", "1")
-        out, err = child.communicate(timeout=120)
-        assert child.returncode == 0, err
+        status, out, err = self.finish("search", "--slope", "1/3", "--prefix", "166666",
+                                       "--bound", "2", "--workers", "1", timeout=120)
+        assert status == 0, err
         assert err.splitlines()[-1] == "search: 45/45 keys"
         assert json.loads(out)["survivors"] == [{"x2": "1/2", "xy": "-2", "y2": "2", "x": "1/2"}]
 
@@ -529,10 +531,9 @@ class TestBoundedMemory:
                 "status = subprocess.call(argv)\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
                 "sys.exit(status)\n")
-        child = self.spawn(*argv, code=code)
-        out, err = child.communicate(timeout=120)
+        status, out, err = self.finish(*argv, timeout=120, code=code)
         assert err.strip().isdigit(), err
-        return child.returncode, out, int(err) * (1 if sys.platform == "darwin" else 1024)
+        return status, out, int(err) * (1 if sys.platform == "darwin" else 1024)
 
     @pytest.mark.parametrize("family, examined", [("cantor-f", "1000000 points, columns 0..999"),
                                                   ("quasi:3/2", "1000519 points, columns 0..1154")],
@@ -556,26 +557,26 @@ class TestBoundedMemory:
     def test_verify_refuses_values_too_large_to_hold(self):
         # a million Python ints of 1,000 digits would not fit: one error line,
         # before any is made
-        child = self.spawn("verify", "--poly", '{"x2":"1/2","x":"1/2","y":"%s"}' % ("7" * 1000),
-                           "--slope", "1", "--prefix", "250000")
-        out, err = child.communicate(timeout=60)
-        assert (child.returncode, out) == (1, "")
+        status, out, err = self.finish("verify", "--poly",
+                                       '{"x2":"1/2","x":"1/2","y":"%s"}' % ("7" * 1000),
+                                       "--slope", "1", "--prefix", "250000")
+        assert (status, out) == (1, "")
         assert err == "error: values too large to hold: 1000405 points of up to 480 bytes each\n"
 
     def test_linear_search_at_a_high_bound(self):
         # the screens hold five monomial rows of the region whatever the bound
-        child = self.spawn("search", "--slope", "1/3", "--prefix", "166666", "--bound", "10",
-                           "--degree", "1", "--workers", "1")
-        out, err = child.communicate(timeout=120)
-        assert child.returncode == 0, err
+        status, out, err = self.finish("search", "--slope", "1/3", "--prefix", "166666",
+                                       "--bound", "10", "--degree", "1", "--workers", "1",
+                                       timeout=120)
+        assert status == 0, err
         assert err.splitlines()[-1] == "search: 1/1 keys"
         assert out == ('{"sector":"1/3","degree":1,"coeff_bound":10,"prefix":166666,'
                        '"survivors":[],"exhausted":true}\n')
 
     def test_a_bound_past_the_screen_tables_is_refused(self):
-        child = self.spawn("search", "--slope", "1", "--bound", "100000000", "--prefix", "1")
-        out, err = child.communicate(timeout=60)
-        assert (child.returncode, out) == (1, "")
+        status, out, err = self.finish("search", "--slope", "1", "--bound", "100000000",
+                                       "--prefix", "1")
+        assert (status, out) == (1, "")
         assert err == "error: coefficient bound too large for the screen's tables\n"
 
     def test_a_region_too_wide_for_the_screen_tables_is_refused(self):
@@ -608,9 +609,8 @@ class TestBoundedMemory:
                        "above the limit of 1000000\n")
 
     def test_prefix_over_the_region_limit_is_refused(self):
-        child = self.spawn("verify", "--family", "cantor-f", "--prefix", "10000000000")
-        out, err = child.communicate(timeout=60)
-        assert (child.returncode, out) == (1, "")
+        status, out, err = self.finish("verify", "--family", "cantor-f", "--prefix", "10000000000")
+        assert (status, out) == (1, "")
         assert err == ("error: prefix 10000000000 needs a region of 40000000000 points, "
                        "above the limit of 1000000\n")
 
@@ -622,15 +622,13 @@ class TestBoundedMemory:
     def test_a_steep_region_past_the_limit_is_refused(self, argv, points):
         # the target is 4 points, but the fewest whole columns that hold them
         # are (0, 0) and column 1, which holds one point more than the slope
-        child = self.spawn(*argv, "--prefix", "1")
-        out, err = child.communicate(timeout=60)
-        assert (child.returncode, out) == (1, "")
+        status, out, err = self.finish(*argv, "--prefix", "1")
+        assert (status, out) == (1, "")
         assert err == (f"error: prefix 1 needs a region of {points} points, "
                        "above the limit of 1000000\n")
 
     def test_a_last_column_at_the_limit_is_accepted(self):
         # column 1 of slope 999,999 holds 1,000,000 points
-        child = self.spawn("verify", "--family", "steep-f:999999", "--prefix", "1")
-        out, err = child.communicate(timeout=60)
-        assert (child.returncode, err) == (0, "")
+        status, out, err = self.finish("verify", "--family", "steep-f:999999", "--prefix", "1")
+        assert (status, err) == (0, "")
         assert out == "PASS pass (1000001 points, columns 0..1)\n"

@@ -170,12 +170,15 @@ class TestUnrank:
                 assert family.unrank(family.rank(p)) == p, family.name
 
     @settings(max_examples=60)
-    @given(st.integers(0, 10**24))
+    @given(st.integers(0, 10**40))
     def test_round_trip_at_large_ranks(self, n):
-        # exactness must not degrade with magnitude
-        for family in (cantor("G"), steep("F", 7), divides("G", 3, 10), quasi_h(7, 4)):
+        # exactness must not degrade with magnitude, on the line path and the class
+        # path: one family of each order, and quasi:3/1, whose period 1 is a line order
+        for family in (cantor("F"), cantor("G"), steep("F", 7), steep("G", 3), divides("F", 2, 5),
+                       divides("G", 3, 10), quasi_h(7, 4), quasi_h(3, 1)):
             p = family.unrank(n)
-            assert family.rank(p) == n
+            assert family.sector.contains(p), family.name
+            assert family.rank(p) == n, family.name
 
     def test_agrees_with_enumeration_oracle(self):
         for family in all_families(10):
