@@ -6,21 +6,22 @@ verification and bounded search, and a sector-shaped array container that
 uses the bijections as storage mapping functions.
 
 The verification and search names (and the `verify` module itself) load on
-first use: `verify` imports numpy, which rank, unrank and layouts never need.
+first use: `verify` imports numpy, which rank, unrank, layouts and the
+enumeration oracle never need.
 """
 
 import importlib
 
 from .core import (OrderKind, OutsideSectorError, Point, Sector, SectorPackError,
-                   Slope, SlopeSyntaxError, parse_slope)
+                   Slope, SlopeSyntaxError, enumerate_sector, parse_slope)
 from .layout import CapacityError, SectorArray
 from .packing import PackingFamily, cantor, divides, parse_family, quasi_h, steep
 from .poly import (PolySyntaxError, QuadPoly, QuasiPoly, deserialize,
                    format_rational, parse_rational, serialize)
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
 
-_VERIFY_NAMES = ("PackingVerdict", "SearchReport", "enumerate_sector",
-                 "linear_impossibility_check", "search_quadratic", "verify_packing")
+_VERIFY_NAMES = ("PackingVerdict", "SearchReport", "linear_impossibility_check",
+                 "search_quadratic", "verify_packing")
 
 
 def __getattr__(name: str):

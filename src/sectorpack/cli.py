@@ -13,9 +13,10 @@ A coordinate too long to print (past Python's digit limit) ends the stream
 with the error line of an argument that long and status 1; rows of earlier
 batches may be out by then on stdout, but an --out file is removed.
 `verify` and `search` must hold their examined region, the fewest columns
-holding max(4, 2s) * prefix points for slope r/s: a prefix whose target, or
-whose region's last column alone, exceeds _REGION_LIMIT points is refused
-(verify.check_region), and a prefix below 1 by the command itself.
+holding max(4, 2s) * prefix points for slope r/s: `verify.check_region`
+refuses a region past its limit before anything is made, and the command
+itself a prefix below 1.  These two commands alone import `verify`, and so
+numpy; `enumerate` walks the orders of `core`.
 """
 
 from __future__ import annotations
@@ -29,17 +30,16 @@ from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .core import (OrderKind, Point, Sector, SectorPackError, _is_ascii_number, _to_int,
-                   _too_many_digits, parse_slope)
+                   _too_many_digits, iter_sector, parse_slope)
 from .layout import check_fill_count
 from .packing import parse_family
 from .poly import deserialize
 from .transforms import LinearMap2, lambda_map, m_map, phi_map, psi_map
 
-# verify imports numpy, so enumerate, verify and search import it in their own bodies
+# verify imports numpy, so verify and search import it in their own bodies
 
 _ORDER_NAMES = {kind.value: kind for kind in OrderKind}
 _MAP_FACTORIES = {"lambda": lambda_map, "m": m_map, "phi": phi_map, "psi": psi_map}
-_REGION_LIMIT = 1_000_000  # examined points; verify peaks near 40 MiB there, a late repeat too
 _WRITE_BATCH = 4096  # output pieces joined into one write
 _EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
 
@@ -252,7 +252,6 @@ def _cmd_unrank(args) -> tuple[Iterable[str], int]:
 
 
 def _cmd_enumerate(args) -> tuple[Iterable[str], int]:
-    from .verify import iter_sector
     sector = Sector(parse_slope(args.slope))
     points = iter_sector(sector, _order_for(args.order), args.count)
     if args.format == "json":
@@ -270,13 +269,13 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
         if args.slope is not None:
             raise SectorPackError("--slope is for --poly; a family fixes its own sector")
         family = parse_family(args.family)
-        check_region(family.sector, args.prefix, _REGION_LIMIT)  # before form: a branch per class
+        check_region(family.sector, args.prefix)  # before form: a branch per class
         candidate, sector = family.form, family.sector
     else:
         if args.slope is None:
             raise SectorPackError("--poly needs --slope")
         candidate, sector = deserialize(args.poly), Sector(parse_slope(args.slope))
-        check_region(sector, args.prefix, _REGION_LIMIT)
+        check_region(sector, args.prefix)
     verdict = verify_packing(candidate, sector, args.prefix)
     status = 0 if verdict.ok else 3
     if args.format == "json":
@@ -290,7 +289,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
 def _cmd_search(args) -> tuple[Iterable[str], int]:
     from .verify import check_region, linear_impossibility_check, search_quadratic
     sector = Sector(parse_slope(args.slope))
-    check_region(sector, args.prefix, _REGION_LIMIT)
+    check_region(sector, args.prefix)
 
     # called once per key of the box swept, in order: a (k20, k11) pair, or finer
     # keys that fix k02 too (and more) where one pair holds more than a chunk can

@@ -1,18 +1,32 @@
-"""Slopes, integer sectors, membership, enumeration orders, and the
-free-basis decision.
+"""Slopes, integer sectors, membership, enumeration orders and their walk,
+and the free-basis decision.
 
 A sector slope is a reduced positive fraction r/s or infinity.  The integer
 sector of slope r/s is the set of lattice points (x, y) with x, y >= 0 and
 s*y <= r*x; the infinite slope gives the whole quadrant.  All arithmetic is
 exact: plain Python integers throughout, no floating point anywhere.
+
+`enumerate_sector` is the ground truth everything else is measured against:
+it walks a sector's lattice points in a stated order using nothing but the
+membership predicate, so a point's rank is simply its position.  An order is
+a plain `OrderKind`, and one walker, `_lines`, serves every order: it counts
+the lines x - d*y = K, K = 0, 1, ..., each from y = 0 to the top that the
+sector test s*y <= r*x gives along the line, with d = -1 for the quadrant's
+antidiagonals, 0 for columns and (s-1)/r for slanted blocks.  The residue
+order interleaves s such column walks, one per class of x mod s.  The walk
+imports no other module of the package, so it stays independent of the
+families it checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from operator import itemgetter
+from typing import Iterator
 
 Point = tuple[int, int]
 
@@ -74,12 +88,8 @@ class Slope:
 
 
 class OrderKind(Enum):
-    """A total order on a sector's points in which every point has finite rank.
-
-    The diagonals (d = -1), the columns (d = 0) and the blocks of r/s with
-    r | s-1 (d = (s-1)/r) count the lines x - d*y = K, K = 0, 1, ...; the
-    residue order interleaves the columns of the classes of x mod s.
-    """
+    """A total order on a sector's points in which every point has finite rank:
+    the lines of the module docstring, walked by `iter_sector`."""
 
     DIAGONAL = "diagonal"
     REVERSE_DIAGONAL = "reverse-diagonal"
@@ -170,3 +180,51 @@ class Sector:
         if self.slope.r == 1:
             return ((1, 0), (self.slope.s, 1))
         return None
+
+
+def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
+           step: int = 1) -> Iterator[Point]:
+    """The points of the lines x - d*y = K, K = start, start + step, ..., each
+    from y = 0 up or from its top down.  (K + d*y, y) is in the sector iff
+    y >= 0 and s*y <= r*(K + d*y), that is (s - r*d)*y <= r*K; every order
+    has s - r*d >= 1, so line K holds y = 0 .. r*K // (s - r*d)."""
+    r, s = sector.slope.r, sector.slope.s
+    for k in itertools.count(start, step):
+        top = r * k // (s - r * d)
+        for y in range(top, -1, -1) if top_down else range(top + 1):
+            yield (k + d * y, y)
+
+
+def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
+    slope = sector.slope
+    if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
+        if not slope.is_infinite:
+            raise SectorPackError(f"{order.value} requires the infinite sector")
+        return _lines(sector, -1, order.top_down)
+    if slope.is_infinite:
+        raise SectorPackError(f"{order.value} requires a finite slope")
+    if order is OrderKind.RESIDUE_INTERLEAVED:
+        # the columns of each class ell of x mod s, round-robin, each begun when first reached
+        columns = (_lines(sector, 0, False, ell, slope.s) for ell in range(slope.s))
+        return map(next, itertools.cycle(columns))
+    if order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
+        if (slope.s - 1) % slope.r:
+            raise SectorPackError(f"{order.value} requires a slope r/s with r | s-1, got {slope}")
+        return _lines(sector, (slope.s - 1) // slope.r, order.top_down)
+    return _lines(sector, 0, order.top_down)  # the columns, on any finite slope
+
+
+def iter_sector(sector: Sector, order: OrderKind, count: int) -> Iterator[Point]:
+    """First `count` points of the order, lazily; a point's rank is its position.
+
+    The arguments are checked on the call, before the first point is made.
+    """
+    if count < 1:
+        raise SectorPackError(f"count must be positive, got {count}")
+    # zip with a range, not islice, so that a count past sys.maxsize still streams
+    return map(itemgetter(1), zip(range(count), _order_iterator(sector, order)))
+
+
+def enumerate_sector(sector: Sector, order: OrderKind, count: int) -> list[Point]:
+    """First `count` points of the order; a point's rank is its position here."""
+    return list(iter_sector(sector, order, count))

@@ -36,6 +36,7 @@ branch per class.  `Slope` and `PackingFamily` alone check the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, cycle, repeat
 from math import isqrt
@@ -54,10 +55,6 @@ _ORDERS = {head: order for order, head in _HEADS.items()}
 _DIAGONALS = (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL)
 _COLUMNS = (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN)
 _BLOCKS = (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN)
-
-_X = QuadPoly.x()
-_Y = QuadPoly.y()
-_ONE = QuadPoly.constant(1)
 
 
 @dataclass(frozen=True)
@@ -109,15 +106,28 @@ class PackingFamily:
 
     @cached_property
     def form(self) -> Union[QuadPoly, QuasiPoly]:
-        """The rank in x and y: one quadratic per residue class of x mod period."""
+        """The rank in x and y: one quadratic per residue class of x mod period.
+
+        With P = period and u = x - ell - d*y = P*a on class ell, the rank
+        P*(r*a*(a-1)/2 + c*a + offset) + ell is, over 2P,
+
+            r*u^2 + B*u + 2P^2*y + E,  B = 2P*c - r*P,  E = 2P*ell
+
+        bottom-up (offset y); top-down, offset r*a + c - 1 - y adds
+        2P*r to B and 2P^2*(c-1) to E and turns +2P^2*y into -2P^2*y.
+        Expanding u^2 and u gives each branch's six numerators over 2P, for
+        x^2, xy, y^2, x, y and 1, with no polynomial arithmetic per class:
+        r, -2dr, d^2*r, B - 2*ell*r, 2d*ell*r - d*B +- 2P^2, r*ell^2 - B*ell + E.
+        """
         r, d, period, top_down = self._model
+        den, y2 = 2 * period, (2 - 4 * top_down) * period * period  # top_down counts as 1
         branches = []
         for ell in range(period):
             c = r * ell // period + 1
-            a = (_X - ell * _ONE - d * _Y) / period
-            offset = r * a + (c - 1) * _ONE - _Y if top_down else _Y
-            count = r * (a * (a - _ONE)) / 2 + c * a + offset
-            branches.append(period * count + ell * _ONE)
+            b, e = den * (c + top_down * r) - r * period, den * (ell + top_down * period * (c - 1))
+            nums = (r, -2 * d * r, d * d * r, b - 2 * ell * r, 2 * d * ell * r - d * b + y2,
+                    r * ell * ell - b * ell + e)
+            branches.append(QuadPoly(*(Fraction(n, den) for n in nums)))
         if self.order is OrderKind.RESIDUE_INTERLEAVED:
             return QuasiPoly(period, tuple(branches))
         return branches[0]

@@ -1,13 +1,5 @@
-"""Brute-force enumeration oracles, packing verification, and bounded search.
-
-`enumerate_sector` is the ground truth everything else is measured against:
-it walks a sector's lattice points in a stated order using nothing but the
-membership predicate, so a point's rank is simply its position.  An order is
-a plain `OrderKind`, and one walker, `_lines`, serves every order: it counts
-the lines x - d*y = K, K = 0, 1, ..., each from y = 0 to the top that the
-sector test s*y <= r*x gives along the line, with d = -1 for the quadrant's
-antidiagonals, 0 for columns and (s-1)/r for slanted blocks.  The residue
-order interleaves s such column walks, one per class of x mod s.
+"""Brute-force packing verification and bounded search: the package's only
+numpy module.  The enumeration oracle, `enumerate_sector`, lives in `core`.
 
 `verify_packing` checks an arbitrary candidate on a finite prefix of the
 sector: values must be nonnegative integers, pairwise distinct, and cover
@@ -115,68 +107,20 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import OrderKind, Point, Sector, SectorPackError
+from .core import Point, Sector, SectorPackError
 from .poly import PolyLike, QuadPoly, _quad_to_object
 
 _COVERAGE_MARGIN = 4  # the least examined points per prefix value, see region_target
+_REGION_LIMIT = 1_000_000  # examined points; verify peaks near 40 MiB there, a late repeat too
 _BLOCK_POINTS = 1 << 15  # values made at a time by _column_values, unless a column is longer
 _INT32_LIMIT = 2 ** 31  # values below this in magnitude fit int32, in verify and in the screens
 # the most bytes of Python-int values that _column_values makes: on Linux x86-64 under a
 # 512 MiB address space, a million 700-digit values fit and 750-digit ones do not
 _OBJECT_BYTES = 340 * 2 ** 20
-
-
-def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
-           step: int = 1) -> Iterator[Point]:
-    """The points of the lines x - d*y = K, K = start, start + step, ..., each
-    from y = 0 up or from its top down.  (K + d*y, y) is in the sector iff
-    y >= 0 and s*y <= r*(K + d*y), that is (s - r*d)*y <= r*K; every order
-    has s - r*d >= 1, so line K holds y = 0 .. r*K // (s - r*d)."""
-    r, s = sector.slope.r, sector.slope.s
-    for k in itertools.count(start, step):
-        top = r * k // (s - r * d)
-        for y in range(top, -1, -1) if top_down else range(top + 1):
-            yield (k + d * y, y)
-
-
-def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
-    slope = sector.slope
-    if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
-        if not slope.is_infinite:
-            raise SectorPackError(f"{order.value} requires the infinite sector")
-        return _lines(sector, -1, order.top_down)
-    if slope.is_infinite:
-        raise SectorPackError(f"{order.value} requires a finite slope")
-    if order is OrderKind.RESIDUE_INTERLEAVED:
-        # the columns of each class ell of x mod s, round-robin, each begun when first reached
-        columns = (_lines(sector, 0, False, ell, slope.s) for ell in range(slope.s))
-        return map(next, itertools.cycle(columns))
-    if order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-        if (slope.s - 1) % slope.r:
-            raise SectorPackError(f"{order.value} requires a slope r/s with r | s-1, got {slope}")
-        return _lines(sector, (slope.s - 1) // slope.r, order.top_down)
-    return _lines(sector, 0, order.top_down)  # the columns, on any finite slope
-
-
-def iter_sector(sector: Sector, order: OrderKind, count: int) -> Iterator[Point]:
-    """First `count` points of the order, lazily; a point's rank is its position.
-
-    The arguments are checked on the call, before the first point is made.
-    """
-    if count < 1:
-        raise SectorPackError(f"count must be positive, got {count}")
-    # zip with a range, not islice, so that a count past sys.maxsize still streams
-    return map(itemgetter(1), zip(range(count), _order_iterator(sector, order)))
-
-
-def enumerate_sector(sector: Sector, order: OrderKind, count: int) -> list[Point]:
-    """First `count` points of the order; a point's rank is its position here."""
-    return list(iter_sector(sector, order, count))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +149,11 @@ def region_target(sector: Sector, prefix: int) -> int:
     return max(_COVERAGE_MARGIN, 2 * sector.slope.s) * prefix
 
 
-def check_region(sector: Sector, prefix: int, limit: int) -> None:
+def check_region(sector: Sector, prefix: int) -> None:
     """Refuse a region whose target, or whose last (tallest) column alone, holds more
-    than limit points, so an accepted one holds fewer than 2*limit; prefix < 1 passes."""
-    size = region_target(sector, prefix)
+    than _REGION_LIMIT points, so an accepted one holds fewer than twice that;
+    prefix < 1 passes, for the caller's own check."""
+    size, limit = region_target(sector, prefix), _REGION_LIMIT
     if 0 < size <= limit and (tops := _examined_region(sector, prefix))[-1] >= limit:
         size = sum(tops) + len(tops)
     if size > limit:

@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this sectorpack."""
+    src = os.path.dirname(os.path.dirname(sectorpack.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestParsers:
     def test_main_reuses_one_parser(self):
         parser = build_parser()
@@ -372,6 +379,25 @@ class TestPlumbing:
         assert run(capsys, *argv, "--prefix", prefix) \
             == (1, "", f"error: prefix must be positive, got {prefix}\n")
 
+    def test_only_verify_and_search_load_numpy(self):
+        # one fresh interpreter runs every other command through main, then verify
+        commands = [["enumerate", "--slope", "2", "--order", "column-bottom-up", "--count", "3"],
+                    ["eval", "--family", "div-f:2/3", "--point", "2,1"],
+                    ["unrank", "--family", "cantor-f", "--rank", "7"],
+                    ["layout", "--family", "quasi:3/2", "--count", "6"],
+                    ["basis", "--slope", "1/3"],
+                    ["transform", "--family", "phi:2"]]
+        code = ("import json, sys\n"
+                "from sectorpack.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "assert 'numpy' not in sys.modules\n"
+                "assert main(['verify', '--family', 'cantor-f', '--prefix', '10']) == 0\n"
+                "assert 'numpy' in sys.modules\n")
+        child = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                               env=child_env(), capture_output=True, text=True, timeout=60)
+        assert (child.returncode, child.stderr) == (0, "")
+
     def test_bad_slope_is_domain_error(self, capsys):
         status, _, err = run(capsys, "basis", "--slope", "0")
         assert status == 1
@@ -477,11 +503,8 @@ class TestBoundedMemory:
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
 
-        src = os.path.dirname(os.path.dirname(sectorpack.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         head = ["-m", "sectorpack.cli"] if code is None else ["-c", code]
-        return subprocess.Popen([sys.executable, *head, *argv], env=env,
+        return subprocess.Popen([sys.executable, *head, *argv], env=child_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                                 preexec_fn=cap_address_space)
 

@@ -114,10 +114,16 @@ class TestRank:
 class TestRankAgainstTheForm:
     """rank works on block coordinates; form is the polynomial the proofs check."""
 
+    # periods past 40, whose classes ell > 40 start past x = 40; x <= 3s holds
+    # each class's first three columns
+    LONG_PERIODS = [quasi_h(1, 64), quasi_h(3, 64), quasi_h(63, 64), quasi_h(50, 101)]
+
     def test_rank_is_the_form_on_the_sector(self):
-        for family in all_families(10):
+        cases = [(family, 40) for family in all_families(10)]
+        cases += [(family, 3 * family.sector.slope.s) for family in self.LONG_PERIODS]
+        for family, reach in cases:
             form = family.form
-            for p in sector_points(family.sector, 40, 40):
+            for p in sector_points(family.sector, reach, 40):
                 assert family.rank(p) == form.evaluate(p), (family.name, p)
 
     def test_rank_rejects_exactly_the_points_outside(self):

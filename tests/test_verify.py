@@ -13,8 +13,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sectorpack import (OrderKind, PackingVerdict, QuadPoly, QuasiPoly, Sector,
-                        SectorPackError, Slope, cantor, enumerate_sector,
-                        linear_impossibility_check, parse_slope,
+                        SectorPackError, Slope, cantor, core, enumerate_sector,
+                        linear_impossibility_check, packing, parse_slope,
                         quasi_h, search_quadratic, steep, verify, verify_packing)
 
 from family_zoo import all_families
@@ -104,7 +104,7 @@ class TestLineWalker:
             return
         d, top_down, starts = walks
         for start, step in starts:
-            lines = itertools.groupby(verify._lines(sector, d, top_down, start, step),
+            lines = itertools.groupby(core._lines(sector, d, top_down, start, step),
                                       key=lambda p: p[0] - d * p[1])
             for k, (key, line) in zip(range(start, start + 200 * step, step), lines):
                 ys = [y for _, y in line]
@@ -973,19 +973,45 @@ class TestHasTriangle:
                 assert verify._has_triangle(tops) == self._holds_triangle(tops), (slope, prefix)
 
 
-class TestOracleIndependence:
-    def test_verify_imports_only_core_and_poly(self):
-        # the oracles must not depend on the families they are used to check
-        tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                paths = [alias.name.split(".") for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                head = ["sectorpack"] * bool(node.level) + (node.module or "").split(".")
-                paths = [[part for part in head if part] + [alias.name] for alias in node.names]
-            else:
-                continue
+def _syntax(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def _imports(module) -> tuple[set[str], set[str]]:
+    """(the sectorpack modules that module imports, the top packages of the rest)."""
+    own, other = set(), set()
+    for node in ast.walk(_syntax(module)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            head = ["sectorpack"] * bool(node.level) + (node.module or "").split(".")
+            paths = [[part for part in head if part] + [alias.name] for alias in node.names]
+        else:
+            continue
+        for path in paths:
             # a bare "import sectorpack" shows as "", as it imports every module
-            imported.update("".join(path[1:2]) for path in paths if path[0] == "sectorpack")
-        assert imported == {"core", "poly"}
+            if path[0] == "sectorpack":
+                own.add("".join(path[1:2]))
+            else:
+                other.add(path[0])
+    return own, other
+
+
+class TestOracleIndependence:
+    """The oracles must not depend on the families they are used to check."""
+
+    def test_verify_imports_only_core_and_poly(self):
+        assert _imports(verify)[0] == {"core", "poly"}
+
+    def test_core_imports_no_sectorpack_module_and_no_numpy(self):
+        own, other = _imports(core)
+        assert own == set()
+        assert "numpy" not in other
+
+    def test_packing_names_none_of_the_order_walk(self):
+        tree = _syntax(packing)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"_lines", "_order_iterator", "iter_sector", "enumerate_sector"}
