@@ -10,12 +10,16 @@ exact: plain Python integers throughout, no floating point anywhere.
 it walks a sector's lattice points in a stated order using nothing but the
 membership predicate, so a point's rank is simply its position.  An order is
 a plain `OrderKind`, and one walker, `_lines`, serves every order: it counts
-the lines x - d*y = K, K = 0, 1, ..., each from y = 0 to the top that the
-sector test s*y <= r*x gives along the line, with d = -1 for the quadrant's
-antidiagonals, 0 for columns and (s-1)/r for slanted blocks.  The residue
-order interleaves s such column walks, one per class of x mod s.  The walk
-imports no other module of the package, so it stays independent of the
-families it checks.
+the lines e*x - d*y = K, K = 0, 1, ..., each from y = 0 to the top that the
+sector test s*y <= r*x gives along the line, keeping the lattice points.
+The columns are (e, d) = (1, 0) on any finite slope.  The diagonal and block
+orders take the slope's own direction from `Slope.line_model`, e = r/g and
+d = (s-1)/g with g = gcd(r, s-1): the quadrant (s = 0) walks its
+antidiagonals x + y = K, r/s with r | s-1 its slanted blocks x - d*y = K,
+and the block orders accept every r | (s-1)^2.  The residue order
+interleaves s column walks, one per class of x mod s.  The walk imports no
+other module of the package, so it stays independent of the families it
+checks.
 """
 
 from __future__ import annotations
@@ -78,6 +82,17 @@ class Slope:
     @property
     def is_infinite(self) -> bool:
         return self.s == 0
+
+    @property
+    def line_model(self) -> tuple[int, int, int]:
+        """(g, e, d) of the slope's lines e*x - d*y = K: g = gcd(r, s-1), e = r/g
+        and d = (s-1)/g, so gcd(e, d) = 1 and g*K = r*x - (s-1)*y.
+
+        The quadrant (s = 0) gives (1, 1, -1), the antidiagonals; an integer
+        slope r/1 gives (r, 1, 0), the columns.  e | g exactly when r | (s-1)^2.
+        """
+        g = gcd(self.r, self.s - 1)
+        return g, self.r // g, (self.s - 1) // g
 
     def __str__(self) -> str:
         if self.is_infinite:
@@ -182,17 +197,20 @@ class Sector:
         return None
 
 
-def _lines(sector: Sector, d: int, top_down: bool, start: int = 0,
+def _lines(sector: Sector, e: int, d: int, top_down: bool, start: int = 0,
            step: int = 1) -> Iterator[Point]:
-    """The points of the lines x - d*y = K, K = start, start + step, ..., each
-    from y = 0 up or from its top down.  (K + d*y, y) is in the sector iff
-    y >= 0 and s*y <= r*(K + d*y), that is (s - r*d)*y <= r*K; every order
-    has s - r*d >= 1, so line K holds y = 0 .. r*K // (s - r*d)."""
+    """The lattice points of the lines e*x - d*y = K, K = start, start + step, ...,
+    each from y = 0 up or from its top down.  Line K's point at height y is
+    ((K + d*y)/e, y), a lattice point iff e | K + d*y, and in the sector iff
+    y >= 0 and e*s*y <= r*(K + d*y), that is (e*s - r*d)*y <= r*K; every order
+    has e*s - r*d >= 1, so line K holds the y in 0 .. r*K // (e*s - r*d) with
+    e | K + d*y."""
     r, s = sector.slope.r, sector.slope.s
     for k in itertools.count(start, step):
-        top = r * k // (s - r * d)
+        top = r * k // (e * s - r * d)
         for y in range(top, -1, -1) if top_down else range(top + 1):
-            yield (k + d * y, y)
+            if (k + d * y) % e == 0:
+                yield ((k + d * y) // e, y)
 
 
 def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
@@ -200,18 +218,17 @@ def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:
     if order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL):
         if not slope.is_infinite:
             raise SectorPackError(f"{order.value} requires the infinite sector")
-        return _lines(sector, -1, order.top_down)
-    if slope.is_infinite:
+    elif slope.is_infinite:
         raise SectorPackError(f"{order.value} requires a finite slope")
-    if order is OrderKind.RESIDUE_INTERLEAVED:
+    elif order is OrderKind.RESIDUE_INTERLEAVED:
         # the columns of each class ell of x mod s, round-robin, each begun when first reached
-        columns = (_lines(sector, 0, False, ell, slope.s) for ell in range(slope.s))
+        columns = (_lines(sector, 1, 0, False, ell, slope.s) for ell in range(slope.s))
         return map(next, itertools.cycle(columns))
-    if order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-        if (slope.s - 1) % slope.r:
-            raise SectorPackError(f"{order.value} requires a slope r/s with r | s-1, got {slope}")
-        return _lines(sector, (slope.s - 1) // slope.r, order.top_down)
-    return _lines(sector, 0, order.top_down)  # the columns, on any finite slope
+    elif order in (OrderKind.COLUMN_BOTTOM_UP, OrderKind.COLUMN_TOP_DOWN):
+        return _lines(sector, 1, 0, order.top_down)  # the columns, on any finite slope
+    elif (slope.s - 1) ** 2 % slope.r:
+        raise SectorPackError(f"{order.value} requires a slope r/s with r | (s-1)^2, got {slope}")
+    return _lines(sector, *slope.line_model[1:], order.top_down)  # (e, d) of the slope
 
 
 def iter_sector(sector: Sector, order: OrderKind, count: int) -> Iterator[Point]:

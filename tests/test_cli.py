@@ -103,6 +103,16 @@ class TestEval:
         status, out, err = run(capsys, "eval", "--family", family, "--point", "0,0")
         assert (status, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("family,order,slope", [
+        ("div-g:9/4", "block-top-down", "9/4"), ("div-f:9/7", "block-bottom-up", "9/7"),
+        ("div-f:25/11", "block-bottom-up", "25/11"), ("div-f:3/1", "block-bottom-up", "3"),
+        ("div-f:3/2", "block-bottom-up", "3/2"), ("div-g:5/3", "block-top-down", "5/3"),
+    ])
+    def test_a_line_order_that_does_not_pack_is_one_refusal(self, capsys, family, order, slope):
+        status, out, err = run(capsys, "eval", "--family", family, "--point", "0,0")
+        refusal = f"error: {order} does not pack the sector of slope {slope}\n"
+        assert (status, out, err) == (1, "", refusal)
+
 
 class TestUnrank:
     def test_example(self, capsys):
@@ -155,7 +165,7 @@ class TestEnumerate:
                                "--count", "4")
         assert (status, out) == (1, "")
         needs = {"inf": "a finite slope", "2": "the infinite sector",
-                 "3/5": "a slope r/s with r | s-1, got 3/5"}[slope]
+                 "3/5": "a slope r/s with r | (s-1)^2, got 3/5"}[slope]
         assert err == f"error: {order} requires {needs}\n"
 
     @pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
@@ -186,7 +196,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", [
         "cantor-f", "cantor-g", "steep-f:3", "steep-g:3",
-        "div-f:2/3", "div-g:2/3", "quasi:3/2", "quasi:2/5",
+        "div-f:2/3", "div-g:2/3", "div-f:9/4", "div-g:9/7", "quasi:3/2", "quasi:2/5",
     ])
     def test_every_family_kind_exits_zero_at_default_prefix(self, capsys, name):
         status, out, _ = run(capsys, "verify", "--family", name)
@@ -356,7 +366,7 @@ class TestPlumbing:
         (["enumerate", "--slope", "1", "--order", "column-bottom-up", "--count", "0"],
          "count must be positive, got 0"),
         (["enumerate", "--slope", "3/5", "--order", "block-top-down", "--count", "4"],
-         "block-top-down requires a slope r/s with r | s-1, got 3/5"),
+         "block-top-down requires a slope r/s with r | (s-1)^2, got 3/5"),
         (["verify", "--family", "quasi:3/2", "--prefix", "250001"],
          "prefix 250001 needs a region of 1000004 points, above the limit of 1000000"),
         (["search", "--slope", "1/3", "--prefix", "166667"],

@@ -1,6 +1,8 @@
 import itertools
 import pickle
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from sectorpack import (OrderKind, OutsideSectorError, PackingFamily, QuadPoly, 
                         SectorPackError, Slope, cantor, divides, enumerate_sector,
                         parse_family, psi_map, quasi_h, steep, verify_packing)
 
-from family_zoo import all_families, coprime_pairs, divides_pairs, sector_points
+from family_zoo import all_families, coprime_pairs, divides_pairs, line_slopes, sector_points
 
 
 class TestConstructors:
@@ -63,10 +65,11 @@ class TestConstructors:
             PackingFamily(order, Sector(slope))
 
     def test_builds_exactly_the_families(self):
-        # every order on every slope up to 6: a pair either builds one of the
-        # factories' families, which parses from its name and verifies, or is
+        # every order on every slope up to 9/9, which holds the line families of
+        # r | (s-1)^2 on 4/3, 4/7, 8/5, 9/4 and 9/7: a pair either builds one of
+        # the factories' families, which parses from its name and verifies, or is
         # refused with a SectorPackError
-        slopes = [Slope.infinite()] + [Slope(r, s) for r, s in coprime_pairs(6, 6)]
+        slopes = [Slope.infinite()] + [Slope(r, s) for r, s in coprime_pairs(9, 9)]
         built = []
         for order, slope in itertools.product(OrderKind, slopes):
             try:
@@ -76,7 +79,38 @@ class TestConstructors:
             assert parse_family(family.name) == family
             assert verify_packing(family.form, family.sector, 30).ok, family.name
             built.append(family)
-        assert set(built) == set(all_families(6))
+        assert set(built) == set(all_families(9))
+
+    @pytest.mark.parametrize("name,message", [
+        ("div-g:9/4", "block-top-down does not pack the sector of slope 9/4"),  # d = 1 (mod 3)
+        ("div-f:9/7", "block-bottom-up does not pack the sector of slope 9/7"),  # d = -1 (mod 3)
+        ("div-f:25/11", "block-bottom-up does not pack the sector of slope 25/11"),  # d = 2 (mod 5)
+        ("div-f:3/1", "block-bottom-up does not pack the sector of slope 3"),  # the columns' slope
+        ("div-f:3/2", "block-bottom-up does not pack the sector of slope 3/2"),  # e = 3 does not divide g = 1
+    ])
+    def test_one_refusal_for_every_line_order_that_does_not_pack(self, name, message):
+        with pytest.raises(SectorPackError) as exc:
+            parse_family(name)
+        assert str(exc.value) == message
+
+    def test_line_families_on_the_small_slopes(self):
+        # of the 120 reduced slopes r/s with r <= 12 and s <= 16, the 54 with
+        # r | s-1 (s = 1 included) have both line families, and r | (s-1)^2
+        # gives 11 more, F or G as d mod e allows
+        found = {}
+        for r, s in coprime_pairs(12, 16):
+            for v in "FG":
+                try:
+                    steep(v, r) if s == 1 else divides(v, r, s)
+                except SectorPackError:
+                    continue
+                found[r, s] = found.get((r, s), "") + v
+        assert len(coprime_pairs(12, 16)) == 120
+        assert len(found) == 65
+        assert sum((s - 1) % r == 0 and v == "FG" for (r, s), v in found.items()) == 54
+        assert {slope: v for slope, v in found.items() if (slope[1] - 1) % slope[0]} == {
+            (4, 3): "FG", (4, 7): "FG", (4, 11): "FG", (4, 15): "FG", (8, 5): "FG",
+            (8, 13): "FG", (12, 7): "FG", (9, 4): "F", (9, 13): "F", (9, 7): "G", (9, 16): "G"}
 
     def test_quasi_values(self):
         fam = quasi_h(3, 2)
@@ -179,9 +213,11 @@ class TestUnrank:
     @given(st.integers(0, 10**40))
     def test_round_trip_at_large_ranks(self, n):
         # exactness must not degrade with magnitude, on the line path and the class
-        # path: one family of each order, and quasi:3/1, whose period 1 is a line order
+        # path: one family of each order, F on 9/4 and G on 9/7, whose lines have
+        # e = 3, and quasi:3/1, whose period 1 is a line order
         for family in (cantor("F"), cantor("G"), steep("F", 7), steep("G", 3), divides("F", 2, 5),
-                       divides("G", 3, 10), quasi_h(7, 4), quasi_h(3, 1)):
+                       divides("G", 3, 10), divides("F", 9, 4), divides("G", 9, 7),
+                       quasi_h(7, 4), quasi_h(3, 1)):
             p = family.unrank(n)
             assert family.sector.contains(p), family.name
             assert family.rank(p) == n, family.name
@@ -213,58 +249,99 @@ class TestWalk:
                     assert p == family.unrank(n), (family.name, n)
 
 
-def _block_point(family, ell, a, offset):
-    """Offset `offset` of block a in residue class ell, as the block model places it."""
-    r, d, period, top_down = family._model
-    c = r * ell // period + 1
-    j = r * a + c - 1 - offset if top_down else offset
-    return (period * a + ell + d * j, j)
+def _block_point(family, ell, a, i):
+    """The i-th point in rank order of block a of class ell, as the block model
+    places it: its rows are the y in [0, g*a + c) with e | k + d*y, k = period*a
+    + ell, which step by e from (-d*k) mod e, as d*d = 1 (mod e).  Written for
+    every integer i, so that on a class a = e*q + k0 the point is affine in (q, i)."""
+    g, e, d, period, top_down = family._model
+    c = g * ell // period + 1
+    k, last = period * a + ell, g * a + c - 1
+    low = (-d * k) % e
+    y = last - (last - low) % e - e * i if top_down else low + e * i
+    return ((k + d * y) // e, y)
 
 
-def _block_rank(family, ell, a, offset):
-    """Ranks before block a of class ell, plus the offset, interleaved by period."""
-    r, _, period, _ = family._model
-    c = r * ell // period + 1
-    return period * (r * a * (a - 1) // 2 + c * a + offset) + ell
+def _block_rank(family, ell, a, i):
+    """Ranks before block a of class ell, plus the offset of its i-th point's row,
+    interleaved by period, over e: quadratic in (q, i) on a class a = e*q + k0."""
+    g, e, _, period, top_down = family._model
+    c = g * ell // period + 1
+    y = _block_point(family, ell, a, i)[1]
+    offset = g * a + c - 1 - y if top_down else y
+    return Fraction(period * (g * a * (a - 1) // 2 + c * a + offset) + ell, e)
+
+
+def _block_size(family, ell, a):
+    """The number of points of block a of class ell: affine in q on a class a = e*q + k0."""
+    g, e, d, period, _ = family._model
+    c = g * ell // period + 1
+    return (g * a + c - 1 - (-d * (period * a + ell)) % e) // e + 1
 
 
 class TestBlockModel:
     def test_form_is_the_block_count_for_all_n(self):
-        # the block point is affine in (a, offset), so each branch composed
-        # with it is a quadratic in (a, offset); agreeing with the quadratic
-        # block count on the six points of a lattice triangle makes them
-        # equal everywhere, which proves rank(unrank(n)) == n for every n
+        # on each class a = e*q + k0 of blocks the block point is affine in
+        # (q, i), so each branch composed with it is a quadratic in (q, i);
+        # agreeing with the quadratic block count on the six points of a
+        # lattice triangle makes them equal everywhere
         triangle = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
         for family in all_families(10):
+            e = family._model[1]
             for ell, branch in enumerate(family.form.branches):
-                for a, offset in triangle:
-                    point = _block_point(family, ell, a, offset)
-                    assert branch.evaluate(point) == _block_rank(family, ell, a, offset), \
-                        (family.name, ell, a, offset)
+                for k0, (q, i) in itertools.product(range(e), triangle):
+                    point = _block_point(family, ell, e * q + k0, i)
+                    assert branch.evaluate(point) == _block_rank(family, ell, e * q + k0, i), \
+                        (family.name, ell, k0, q, i)
+
+    def test_blocks_count_on_from_each_other_for_all_n(self):
+        # block a + 1 of a class starts period*size(a) ranks after block a, its
+        # points taking every period-th rank from there; both sides are
+        # quadratic in q on a class a = e*q + k0 (a + 1 is on class k0 + 1 mod e),
+        # so three values of q prove it for every a.  Block 0 of class ell starts
+        # at rank ell < period, so with the form test above each class takes its
+        # residue of ranks mod period in order, and the rank is a bijection onto
+        # the nonnegative integers
+        for family in all_families(10):
+            e, period = family._model[1], family._model[3]
+            for ell, k0, q in itertools.product(range(period), range(e), range(3)):
+                a = e * q + k0
+                assert _block_rank(family, ell, 0, 0) == ell, family.name
+                assert _block_rank(family, ell, a, 1) - _block_rank(family, ell, a, 0) == period
+                assert _block_rank(family, ell, a + 1, 0) == \
+                    _block_rank(family, ell, a, 0) + period * _block_size(family, ell, a), \
+                    (family.name, ell, a)
 
     def test_blocks_tile_the_sector_for_all_n(self):
-        # Offset j of block a in class ell is (x, y) = (period*a + ell + d*j, j).
-        # In s*y <= r*x this is (s - r*d)*j <= r*(period*a + ell), which reads
-        # j <= r*a + c - 1 with c = r*ell // period + 1 exactly when
-        #   s - r*d == 1 and period == 1 (so ell = 0, c = 1): j <= r*a;
-        #   d == 0 and period == s: floor(r*(s*a + ell)/s) = r*a + c - 1.
-        # The quadrant is r = 1, s = 0.  As c - 1 < r, j >= 0 forces a >= 0, so
-        # every sector point lies in exactly one block; with the form test
-        # above, rank(unrank(n)) is a bijection onto the sector for all n.
+        # Block a of class ell lies on the line e*x - d*y = period*a + ell: its
+        # point at row j is ((period*a + ell + d*j)/e, j), a lattice point iff
+        # e | period*a + ell + d*j.  In s*y <= r*x this is
+        # (e*s - r*d)*j <= r*(period*a + ell), which reads j <= g*a + c - 1 with
+        # c = g*ell // period + 1 exactly when
+        #   e*s - r*d == e and period == 1 (so ell = 0, c = 1, g = r/e): j <= g*a;
+        #   e == 1, d == 0 and period == s (so g = r): floor(r*(s*a + ell)/s) = r*a + c - 1.
+        # The quadrant is r = 1, s = 0.  As c - 1 < g, j >= 0 forces a >= 0, so
+        # every sector point lies in exactly one block.  The lattice rows of a
+        # block are one class mod e, stepping by e, when gcd(e, d) = 1 and
+        # d*d = 1 (mod e); e | g makes every block past 0 hold one of them.
         for family in all_families(10):
-            r, d, period, _ = family._model
-            s = family.sector.slope.s
-            assert (s - r * d == 1 and period == 1) or (d == 0 and period == s), family.name
+            g, e, d, period, _ = family._model
+            r, s = family.sector.slope.r, family.sector.slope.s
+            assert g * e == r and gcd(e, d) == 1 and g % e == 0 and (d * d - 1) % e == 0
+            assert (e * s - r * d == e and period == 1) or (e == 1 and d == 0 and period == s), \
+                family.name
 
     def test_unrank_at_block_boundaries(self):
         # an off-by-one in the isqrt step shows at the ranks around a block start
         rng = random.Random(3)
-        blocks = [0, 1, 2, 10**6, 10**40 + 3] + [rng.randrange(10**60) for _ in range(5)]
+        blocks = [0, 1, 2, 3, 4, 10**6, 10**40 + 3] + [rng.randrange(10**60) for _ in range(5)]
         for family in all_families(10):
-            period = family._model[2]
+            period = family._model[3]
             for ell in range(period):
                 for a in blocks:
                     start = _block_rank(family, ell, a, 0)
+                    assert start.denominator == 1, family.name
+                    start = start.numerator
                     assert family.unrank(start) == _block_point(family, ell, a, 0), family.name
                     for n in (start - period, start, start + period):
                         if n >= 0:
@@ -292,6 +369,34 @@ class TestPolynomialIdentities:
             assert divides("F", r, s).form == counted_f, (r, s)
             assert divides("G", r, s).form == counted_g, (r, s)
 
+    def test_line_closed_form_is_the_theorem(self):
+        # on every r | (s-1)^2, with g = gcd(r, s-1), e = r/g, d = (s-1)/g and
+        # K = e*x - d*y: F = (g*K*(K-1)/2 + K + y)/e, G = (g*K*(K+1)/2 + K - y)/e
+        x, y = QuadPoly.x(), QuadPoly.y()
+        one = QuadPoly.constant(1)
+        for r, s, variants in line_slopes(20, 20):
+            g = gcd(r, s - 1)
+            e, d = r // g, (s - 1) // g
+            k = e * x - d * y
+            counted = {"F": (g * k * (k - one) / 2 + k + y) / e,
+                       "G": (g * k * (k + one) / 2 + k - y) / e}
+            for v in variants:
+                assert divides(v, r, s).form == counted[v], (r, s, v)
+
+    def test_forms_with_e_equal_3(self):
+        # e = 3: the forms fitted to the walk of the lines 3x - y = K on 9/4
+        # and 3x - 2y = K on 9/7
+        assert divides("F", 9, 4).form == QuadPoly("9/2", -3, "1/2", "-1/2", "1/2", 0)
+        assert divides("G", 9, 7).form == QuadPoly("9/2", -6, 2, "5/2", -2, 0)
+
+    @pytest.mark.parametrize("n", [10**12, 10**30 + 7, 3**80])
+    def test_line_families_round_trip_far_out(self, n):
+        for r, s, variants in line_slopes(16, 40):
+            for v in variants:
+                family = divides(v, r, s)
+                p = family.unrank(n)
+                assert family.sector.contains(p) and family.rank(p) == n, (family.name, n)
+
     def test_quasi_and_divides_orders_differ(self):
         # same sector, both packings, but different enumerations: the ranks
         # disagree somewhere even though both cover every prefix
@@ -308,7 +413,7 @@ class TestPolynomialIdentities:
 class TestFamilyNames:
     @pytest.mark.parametrize("name", [
         "cantor-f", "cantor-g", "steep-f:1", "steep-g:7",
-        "div-f:2/3", "div-g:1/10", "quasi:3/2", "quasi:5/1",
+        "div-f:2/3", "div-g:1/10", "div-f:9/4", "div-g:9/7", "quasi:3/2", "quasi:5/1",
     ])
     def test_parse_round_trip(self, name):
         assert parse_family(name).name == name

@@ -47,8 +47,8 @@ class TestEnumerate:
         with pytest.raises(SectorPackError):
             enumerate_sector(QUADRANT, OrderKind.COLUMN_BOTTOM_UP, 5)
         for order in (OrderKind.BLOCK_BOTTOM_UP, OrderKind.BLOCK_TOP_DOWN):
-            with pytest.raises(SectorPackError, match=r"r \| s-1, got 3/5"):
-                enumerate_sector(Sector(Slope(3, 5)), order, 5)  # 3 does not divide 4
+            with pytest.raises(SectorPackError, match=r"r \| \(s-1\)\^2, got 3/5"):
+                enumerate_sector(Sector(Slope(3, 5)), order, 5)  # 3 does not divide 16
         with pytest.raises(SectorPackError):
             enumerate_sector(QUADRANT, OrderKind.RESIDUE_INTERLEAVED, 5)
         with pytest.raises(SectorPackError):
@@ -63,8 +63,9 @@ class TestEnumerate:
             assert len(set(points)) == 800
             assert all(family.sector.contains(p) for p in points)
             if order.value.startswith("block"):
-                d = (family.sector.slope.s - 1) // family.sector.slope.r
-                indices = [x - d * y for x, y in points]
+                r, s = family.sector.slope.r, family.sector.slope.s
+                e, d = r // gcd(r, s - 1), (s - 1) // gcd(r, s - 1)
+                indices = [e * x - d * y for x, y in points]
                 assert all(a <= b for a, b in zip(indices, indices[1:]))
 
     def test_block_top_down_order(self):
@@ -73,47 +74,51 @@ class TestEnumerate:
 
 
 def _walks(slope, order):
-    """(d, top_down, walks) for an order the slope admits, else None: each walk
+    """(e, d, top_down, walks) for an order the slope admits, else None: each walk
     is a _lines call with its first line K and its step."""
     r, s = slope.r, slope.s
     diagonal = order in (OrderKind.DIAGONAL, OrderKind.REVERSE_DIAGONAL)
     if diagonal != slope.is_infinite:
         return None
     if order is OrderKind.RESIDUE_INTERLEAVED:
-        return 0, False, [(ell, s) for ell in range(s)]
+        return 1, 0, False, [(ell, s) for ell in range(s)]
     if order.value.startswith("block"):
-        if (s - 1) % r:
+        if (s - 1) ** 2 % r:
             return None
-        return (s - 1) // r, order.top_down, [(0, 1)]
-    return (-1 if diagonal else 0), order.top_down, [(0, 1)]
+        g = gcd(r, s - 1)
+        return r // g, (s - 1) // g, order.top_down, [(0, 1)]
+    return 1, (-1 if diagonal else 0), order.top_down, [(0, 1)]
 
 
 class TestLineWalker:
-    SLOPES = ["inf", "1", "3", "2/3", "3/2", "1/4", "3/7"]
+    SLOPES = ["inf", "1", "3", "2/3", "3/2", "1/4", "3/7", "4/3", "9/4", "9/7"]
 
     @pytest.mark.parametrize("text", SLOPES)
     @pytest.mark.parametrize("order", list(OrderKind), ids=lambda o: o.value)
     def test_each_line_ends_where_the_sector_does(self, text, order):
-        # line K of the walker runs from (K, 0) to the last sector point along
-        # x - d*y = K: that point is in the sector and the next one is not
+        # line K of the walker holds every lattice point of e*x - d*y = K from
+        # y = 0 to the last one in the sector: its lowest and highest are in the
+        # (convex) sector, and the next lattice point up the line, e rows higher,
+        # is not
         sector = Sector(parse_slope(text))
         walks = _walks(sector.slope, order)
         if walks is None:
             with pytest.raises(SectorPackError):
                 enumerate_sector(sector, order, 1)
             return
-        d, top_down, starts = walks
+        e, d, top_down, starts = walks
         for start, step in starts:
-            lines = itertools.groupby(core._lines(sector, d, top_down, start, step),
-                                      key=lambda p: p[0] - d * p[1])
+            lines = itertools.groupby(core._lines(sector, e, d, top_down, start, step),
+                                      key=lambda p: e * p[0] - d * p[1])
             for k, (key, line) in zip(range(start, start + 200 * step, step), lines):
-                ys = [y for _, y in line]
+                points = list(line)
+                ys = [y for _, y in points]
                 top = max(ys)
+                rows = [y for y in range(top + 1) if (k + d * y) % e == 0]
                 assert key == k
-                assert ys == (list(range(top, -1, -1)) if top_down else list(range(top + 1)))
-                assert (k, 0) in sector
-                assert (k + d * top, top) in sector
-                assert (k + d * (top + 1), top + 1) not in sector, (text, order, k)
+                assert ys == (rows[::-1] if top_down else rows)
+                assert points[0] in sector and points[-1] in sector
+                assert ((k + d * (top + e)) // e, top + e) not in sector, (text, order, k)
 
 
 class TestVerifyPacking:
