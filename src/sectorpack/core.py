@@ -11,7 +11,8 @@ it walks a sector's lattice points in a stated order using nothing but the
 membership predicate, so a point's rank is simply its position.  An order is
 a plain `OrderKind`, and one walker, `_lines`, serves every order: it counts
 the lines e*x - d*y = K, K = 0, 1, ..., each from y = 0 to the top that the
-sector test s*y <= r*x gives along the line, keeping the lattice points.
+sector test s*y <= r*x gives along the line, keeping the lattice points:
+every e-th row from the line's lowest one.
 The columns are (e, d) = (1, 0) on any finite slope.  The diagonal and block
 orders take the slope's own direction from `Slope.line_model`, e = r/g and
 d = (s-1)/g with g = gcd(r, s-1): the quadrant (s = 0) walks its
@@ -204,13 +205,15 @@ def _lines(sector: Sector, e: int, d: int, top_down: bool, start: int = 0,
     ((K + d*y)/e, y), a lattice point iff e | K + d*y, and in the sector iff
     y >= 0 and e*s*y <= r*(K + d*y), that is (e*s - r*d)*y <= r*K; every order
     has e*s - r*d >= 1, so line K holds the y in 0 .. r*K // (e*s - r*d) with
-    e | K + d*y."""
+    e | K + d*y.  Every order has gcd(e, d) = 1, so those y are one class
+    mod e: the line's lowest lattice row, found by the same test over y < e,
+    and every e-th row above it."""
     r, s = sector.slope.r, sector.slope.s
     for k in itertools.count(start, step):
-        top = r * k // (e * s - r * d)
-        for y in range(top, -1, -1) if top_down else range(top + 1):
-            if (k + d * y) % e == 0:
-                yield ((k + d * y) // e, y)
+        low = next(y for y in range(e) if (k + d * y) % e == 0)
+        ys = range(low, r * k // (e * s - r * d) + 1, e)
+        for y in ys[::-1] if top_down else ys:
+            yield ((k + d * y) // e, y)
 
 
 def _order_iterator(sector: Sector, order: OrderKind) -> Iterator[Point]:

@@ -113,7 +113,10 @@ class SectorArray:
         in rank order; the packing property makes this gap-free.
 
         Every value is made before any cell is written, so a generator that
-        raises leaves the array as it was, its storage length included.
+        raises leaves the array as it was, its storage length included.  The
+        cells at or past `_end` are empty, and those below it are all occupied
+        unless the population is below `_end`, so only then are the cells of
+        the prefix below `_end` counted one by one.
         """
         check_fill_count(n)
         cells = self._cells
@@ -124,6 +127,9 @@ class SectorArray:
         except BaseException:
             del cells[length:]
             raise
-        self._population += sum(map(operator.is_, islice(cells, n), repeat(_EMPTY)))
+        end = self._end
+        if self._population < end:
+            self._population += sum(map(operator.is_, islice(cells, min(n, end)), repeat(_EMPTY)))
+        self._population += max(0, n - end)
         cells[:n] = values
-        self._end = max(self._end, n)
+        self._end = max(end, n)

@@ -16,7 +16,9 @@ top of the block when `top_down`, the point's rank is
   quadrant's antidiagonals, (1, 1, -1)), steep F/G (the columns of r/1,
   (r, 1, 0)) and divides F/G (the slanted lines of any other r/s), which
   pack exactly when r | (s-1)^2 and d = 1 (mod e) for F, d = -1 for G;
-* quasi H interleaves the s residue classes of x: (r, 1, 0, s, False);
+* quasi H interleaves the s residue classes of x: (r, 1, 0, s, False),
+  each class counting its columns bottom-up, so the interleave has no
+  top-down case;
 * the G variants count each line top-down.
 
 On the line orders there is one class, ell = 0 and c = 1, and block a is
@@ -27,7 +29,13 @@ the points below p (above p top-down) gives
 
     F = (g*K*(K-1)/2 + K + y)/e,   G = (g*K*(K+1)/2 + K - y)/e,
 
-which `rank` and `unrank` use directly, with no division by the period.
+that is, one numerator over 2*e for both, K*(g*K + b) + t*y, with b = 2 - g
+and t = 2 for F, b = 2 + g and t = -2 for G.  `rank` evaluates it and
+`unrank` inverts it: K is the floor of the positive root of
+g*K^2 + (2 - g)*K = 2*e*n, by the discriminant (2 - g)^2 + 8*g*e*n, and y
+solves the numerator for the rest.  b, t and the discriminant's constants
+depend on the family alone, so `_terms` works them out once.
+
 This is the paper's existence theorem for r | s-1 (e = 1) extended to every
 r | (s-1)^2: e | g, as gcd(e, d) = 1 and e | g*d^2, so line K has
 g*K/e + [e | K] points; the lines before K hold
@@ -108,7 +116,8 @@ class PackingFamily:
         """(g, e, d, period, top_down): block a of class ell has g*a + c rows,
         c = g*ell // period + 1, on the lines e*x - d*y = period*a + ell.
 
-        One tuple, so rank and unrank take the whole model in one unpacking.
+        `form`, `walk` and the block-model proofs read it; rank and unrank
+        read `_terms`, which is worked out from it.
         """
         slope = self.sector.slope
         if self.order is OrderKind.RESIDUE_INTERLEAVED:
@@ -147,6 +156,20 @@ class PackingFamily:
             return QuasiPoly(period, tuple(branches))
         return branches[0]
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """(g, e, d, period, b, t, h, hh, ge8, e2, g2): what rank and unrank
+        read, worked out once per family from `_model`.
+
+        On the line orders rank is (K*(g*K + b) + t*y) // e2, with e2 = 2*e,
+        b = 2 - g and t = 2 for F, b = 2 + g and t = -2 for G; unrank takes
+        the isqrt of hh + ge8*n, with h = 2 - g, hh = h^2 and ge8 = 8*g*e,
+        over g2 = 2*g.  As e = 1 on the interleave, ge8 = 8*g there too.
+        """
+        g, e, d, period, top_down = self._model
+        b, t = (2 + g, -2) if top_down else (2 - g, 2)
+        return g, e, d, period, b, t, 2 - g, (2 - g) ** 2, 8 * g * e, 2 * e, 2 * g
+
     def rank(self, p: Point) -> int:
         """Position of p in the family's enumeration, equal to the form's value at p.
 
@@ -155,50 +178,55 @@ class PackingFamily:
         membership (on a finite slope, y >= 0 and s*y <= r*x give x >= 0):
         * line orders (period 1, g*K = r*x - (s-1)*y; the quadrant has s = 0):
           ell = 0, c = 1 and a is the line K = e*x - d*y, so the test is
-          0 <= y <= g*K, which is s*y <= r*x, and the rank is
-          (K*(g*(K-1) + 2)/2 + offset)/e, offset g*K - y top-down, else y,
-          taken with no divmod by the period;
+          0 <= y <= g*K, which is s*y <= r*x.  Over 2*e, F and G have the
+          numerator K*(g*K + b) + t*y, with b = 2 - g and t = 2 for F, and
+          b = 2 + g and t = -2 for G, whose offset g*K - y puts g*K into b;
         * quasi (period s, e = 1, d = 0, g = r): g*a + c - 1 = floor(r*x/s)
-          for x = s*a + ell.
+          for x = s*a + ell, and the offset is y: every class counts its
+          columns bottom-up, as quasi H does, so the interleave is never
+          top-down.
         """
         x, y = p
-        g, e, d, period, top_down = self._model
+        g, e, d, period, b, t, _, _, _, e2, _ = self._terms
         if period == 1:
             k = e * x - d * y
-            if 0 <= y <= g * k:
-                return (k * (g * (k - 1) + 2) // 2 + (g * k - y if top_down else y)) // e
+            gk = g * k
+            if 0 <= y <= gk:
+                return (k * (gk + b) + t * y) // e2
         else:
             a, ell = divmod(x, period)  # e = 1 and d = 0 on the interleave
             c = g * ell // period + 1
-            size = g * a + c
-            if 0 <= y < size:
-                return period * (g * a * (a - 1) // 2 + c * a
-                                 + (size - 1 - y if top_down else y)) + ell
+            if 0 <= y < g * a + c:
+                return period * (g * a * (a - 1) // 2 + c * a + y) + ell
         raise OutsideSectorError(f"point {p} is outside the sector of slope {self.sector.slope}")
 
     def unrank(self, n: int) -> Point:
         """The unique sector point with rank n; total on the nonnegative integers.
 
-        n = period*m + ell; on the line orders (period 1) m = e*n, ell = 0
-        and c = 1, so a is the line K and no divmod is taken.  The largest K
-        with g*K*(K-1)/2 + K <= e*n is the line of rank n with no step, as
-        e*n minus that sum is at least y0(K), to which it is congruent mod e.
+        Write n = period*m + ell.  Block a of class ell begins at
+        m = g*a*(a-1)/2 + c*a, so the block of rank n is the largest a >= 0
+        with g*a^2 + (2*c - g)*a <= 2*m: the floor of the positive root,
+        exact at any magnitude because isqrt floors the discriminant
+        (2*c - g)^2 + 8*g*m.
+        * line orders (period 1, c = 1, m = e*n, ell = 0): the discriminant is
+          (2 - g)^2 + 8*g*e*n.  The largest line K with g*K*(K-1)/2 + K <= e*n
+          holds rank n, with no step, as e*n minus that sum is at least
+          y0(K), to which it is congruent mod e; y solves rank's numerator,
+          2*e*n = K*(g*K + b) + t*y, which is exact, top-down as well;
+        * quasi (e = 1, d = 0, bottom-up): the point is (period*a + ell,
+          m - a*(g*a + 2*c - g)/2).
         """
         if n < 0:
             raise SectorPackError(f"rank must be nonnegative, got {n}")
-        g, e, d, period, top_down = self._model
+        g, e, d, period, b, t, h, hh, ge8, e2, g2 = self._terms
         if period == 1:
-            m, ell, c = e * n, 0, 1
-        else:
-            m, ell = divmod(n, period)
-            c = g * ell // period + 1
-        # largest a >= 0 with g*a*(a-1)/2 + c*a <= m: the floor of the positive
-        # root of g*a^2 + b*a - 2m, exact because isqrt floors the discriminant
-        b = 2 * c - g
-        a = (isqrt(b * b + 8 * g * m) - b) // (2 * g)
-        offset = m - g * a * (a - 1) // 2 - c * a
-        j = g * a + c - 1 - offset if top_down else offset
-        return ((period * a + ell + d * j) // e, j)
+            k = (isqrt(hh + ge8 * n) - h) // g2
+            y = (e2 * n - k * (g * k + b)) // t
+            return ((k + d * y) // e, y)
+        m, ell = divmod(n, period)
+        b = 2 * (g * ell // period + 1) - g
+        a = (isqrt(b * b + ge8 * m) - b) // g2
+        return (period * a + ell, m - a * (g * a + b) // 2)
 
     def walk(self) -> Iterator[Point]:
         """Every sector point in rank order, from rank 0: unrank(0), unrank(1), ...

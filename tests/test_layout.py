@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sectorpack import (CapacityError, OutsideSectorError, SectorArray,
                         SectorPackError, cantor, divides, quasi_h, steep)
+from sectorpack.layout import _EMPTY
 
 from family_zoo import all_families, sector_points
 
@@ -190,6 +191,25 @@ class TestDensePrefixFill:
         with pytest.raises(RuntimeError, match="no value"):
             arr.dense_prefix_fill(100, generator)
         assert (arr.population, arr.storage_length, list(arr.iterate())) == before
+
+    # the fill counts the cells it newly occupies from population and _end, so
+    # both must stay exact through any mix of fills and puts
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from([cantor("G"), steep("F", 2), divides("F", 9, 4), quasi_h(3, 2)]),
+           steps=st.lists(st.one_of(st.tuples(st.just("fill"), st.integers(0, 60)),
+                                    st.tuples(st.just("put"), st.integers(0, 120))),
+                          max_size=12))
+    def test_population_and_end_after_fills_and_puts(self, family, steps):
+        arr = SectorArray(family)
+        for kind, n in steps:
+            if kind == "fill":
+                arr.dense_prefix_fill(n, lambda p: p)
+            else:
+                arr.put(family.unrank(n), n)
+            occupied = [k for k, value in enumerate(arr._cells) if value is not _EMPTY]
+            assert arr.population == len(occupied)
+            assert arr._end == (occupied[-1] + 1 if occupied else 0)
+            assert len(list(arr.iterate())) == arr.population
 
     def test_negative_count_rejected(self):
         with pytest.raises(SectorPackError):

@@ -2,7 +2,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +188,69 @@ class TestRankAgainstTheForm:
             assert family.unrank(family.rank(inside)) == inside
             with pytest.raises(OutsideSectorError):
                 family.rank(outside)
+
+
+def _reference_rank(family, p):
+    """rank from the block model's expressions, with nothing worked out ahead:
+    (K*(g*(K-1) + 2)//2 + offset)//e on the lines, the class count on the
+    interleave, each with its top-down offset."""
+    x, y = p
+    g, e, d, period, top_down = family._model
+    if period == 1:
+        k = e * x - d * y
+        if 0 <= y <= g * k:
+            return (k * (g * (k - 1) + 2) // 2 + (g * k - y if top_down else y)) // e
+    else:
+        a, ell = divmod(x, period)
+        c = g * ell // period + 1
+        size = g * a + c
+        if 0 <= y < size:
+            return period * (g * a * (a - 1) // 2 + c * a
+                             + (size - 1 - y if top_down else y)) + ell
+    raise OutsideSectorError(f"point {p} is outside the sector of slope {family.sector.slope}")
+
+
+def _reference_unrank(family, n):
+    """unrank from the block model's expressions: the isqrt of (2c - g)^2 + 8g*m
+    with m = e*n on the lines, and the offset counted from the block's top
+    top-down."""
+    g, e, d, period, top_down = family._model
+    if period == 1:
+        m, ell, c = e * n, 0, 1
+    else:
+        m, ell = divmod(n, period)
+        c = g * ell // period + 1
+    b = 2 * c - g
+    a = (isqrt(b * b + 8 * g * m) - b) // (2 * g)
+    offset = m - g * a * (a - 1) // 2 - c * a
+    j = g * a + c - 1 - offset if top_down else offset
+    return ((period * a + ell + d * j) // e, j)
+
+
+class TestAgainstTheBlockModelExpressions:
+    """rank and unrank read constants worked out once per family; the block
+    model's expressions, evaluated afresh, are the reference."""
+
+    FAMILIES = all_families(10) + TestRankAgainstTheForm.LONG_PERIODS
+
+    def test_rank_and_its_errors(self):
+        for family in self.FAMILIES:
+            for p in itertools.product(range(-6, 41), repeat=2):
+                try:
+                    want = _reference_rank(family, p)
+                except OutsideSectorError as exc:
+                    want = str(exc)
+                try:
+                    got = family.rank(p)
+                except OutsideSectorError as exc:
+                    got = str(exc)
+                assert got == want, (family.name, p)
+
+    def test_unrank_near_0_and_far_out(self):
+        ranks = [*range(3000), *range(10**30 - 50, 10**30 + 51), 3**80]
+        for family in self.FAMILIES:
+            for n in ranks:
+                assert family.unrank(n) == _reference_unrank(family, n), (family.name, n)
 
 
 class TestUnrank:
@@ -391,11 +454,14 @@ class TestPolynomialIdentities:
 
     @pytest.mark.parametrize("n", [10**12, 10**30 + 7, 3**80])
     def test_line_families_round_trip_far_out(self, n):
-        for r, s, variants in line_slopes(16, 40):
-            for v in variants:
-                family = divides(v, r, s)
-                p = family.unrank(n)
-                assert family.sector.contains(p) and family.rank(p) == n, (family.name, n)
+        # every line family (cantor, steep and div) and the interleave
+        families = [divides(v, r, s) for r, s, variants in line_slopes(16, 40) for v in variants]
+        families += [cantor("F"), cantor("G")]
+        families += [steep(v, r) for r in range(1, 11) for v in "FG"]
+        families += [quasi_h(r, s) for r, s in coprime_pairs(10, 10)]
+        for family in families:
+            p = family.unrank(n)
+            assert family.sector.contains(p) and family.rank(p) == n, (family.name, n)
 
     def test_quasi_and_divides_orders_differ(self):
         # same sector, both packings, but different enumerations: the ranks
