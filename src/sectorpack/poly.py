@@ -1,10 +1,13 @@
 """Bivariate quadratics and period-m quasi-polynomials over exact rationals.
 
-QuadPoly holds the six coefficients of a degree <= 2 polynomial in x and y
-as `fractions.Fraction` values.  QuasiPoly is a family of m branches, the
-branch being selected by x mod m.  Composition with an integer linear map
-is expanded symbolically, with no simplification beyond the reduction
-Fraction already performs.
+QuadPoly holds a degree <= 2 polynomial in x and y as its integer form:
+six integer numerators, for x^2, xy, y^2, x, y and 1, over one denominator
+den >= 1, in lowest terms.  That form is its only state, so equal
+polynomials are equal records, and its coefficients are `fractions.Fraction`
+views of it.  The ring operations and composition with an integer linear
+map are expanded symbolically on those Fractions; evaluation reads the
+integers.  QuasiPoly is a family of m branches, the branch being selected
+by x mod m.
 """
 
 from __future__ import annotations
@@ -45,42 +48,53 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
+def _coefficient(i: int) -> property:
+    return property(lambda self: Fraction(self.nums[i], self.den))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class QuadPoly:
-    """c20*x^2 + c11*x*y + c02*y^2 + c10*x + c01*y + c00 with Fraction coefficients."""
+    """(n20*x^2 + n11*x*y + n02*y^2 + n10*x + n01*y + n00) / den, with den >= 1
+    and gcd(den, n20, ..., n00) = 1, so that equal polynomials are equal
+    records.  Built from six rationals c20..c00, which stay readable as
+    Fraction views of the numerators."""
 
-    c20: Fraction = Fraction(0)
-    c11: Fraction = Fraction(0)
-    c02: Fraction = Fraction(0)
-    c10: Fraction = Fraction(0)
-    c01: Fraction = Fraction(0)
-    c00: Fraction = Fraction(0)
+    den: int
+    nums: tuple[int, int, int, int, int, int]
 
-    def __post_init__(self):
-        for name in ("c20", "c11", "c02", "c10", "c01", "c00"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, c20: RationalLike = 0, c11: RationalLike = 0, c02: RationalLike = 0,
+                 c10: RationalLike = 0, c01: RationalLike = 0, c00: RationalLike = 0):
+        coeffs = [Fraction(c) for c in (c20, c11, c02, c10, c01, c00)]
+        den = lcm(*(c.denominator for c in coeffs))  # the least, so the form is in lowest terms
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(c.numerator * den // c.denominator for c in coeffs))
+
+    c20, c11, c02, c10, c01, c00 = map(_coefficient, range(6))
+
+    def __reduce__(self):  # pickled by its coefficients, as the slots are frozen
+        return QuadPoly, self.coefficients()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(c: RationalLike) -> "QuadPoly":
-        return QuadPoly(c00=Fraction(c))
+        return QuadPoly(c00=c)
 
     @staticmethod
     def x() -> "QuadPoly":
-        return QuadPoly(c10=Fraction(1))
+        return QuadPoly(c10=1)
 
     @staticmethod
     def y() -> "QuadPoly":
-        return QuadPoly(c01=Fraction(1))
+        return QuadPoly(c01=1)
 
     # -- ring operations (degree capped at 2) ------------------------------
 
     @property
     def degree(self) -> int:
-        if self.c20 or self.c11 or self.c02:
+        if any(self.nums[:3]):
             return 2
-        if self.c10 or self.c01:
+        if any(self.nums[3:5]):
             return 1
         return 0
 
@@ -94,7 +108,7 @@ class QuadPoly:
         return (self,)
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
-        return (self.c20, self.c11, self.c02, self.c10, self.c01, self.c00)
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __add__(self, other: "QuadPoly") -> "QuadPoly":
         if not isinstance(other, QuadPoly):
@@ -140,31 +154,23 @@ class QuadPoly:
     def evaluate(self, p: Point) -> Fraction:
         """Exact value at the integer point p."""
         x, y = p
-        return (self.c20 * x * x + self.c11 * x * y + self.c02 * y * y
-                + self.c10 * x + self.c01 * y + self.c00)
+        a, b, c, d, e, g = self.nums
+        return Fraction((a * x + b * y + d) * x + (c * y + e) * y + g, self.den)
 
     def compose(self, m: LinearMap2) -> "QuadPoly":
         """The polynomial (x, y) -> self(m(x, y)), expanded symbolically."""
-        xi = QuadPoly(c10=Fraction(m.a), c01=Fraction(m.b))
-        eta = QuadPoly(c10=Fraction(m.c), c01=Fraction(m.d))
+        xi = QuadPoly(c10=m.a, c01=m.b)
+        eta = QuadPoly(c10=m.c, c01=m.d)
         return (self.c20 * (xi * xi) + self.c11 * (xi * eta) + self.c02 * (eta * eta)
                 + self.c10 * xi + self.c01 * eta + QuadPoly.constant(self.c00))
 
     def scaled_integer_form(self) -> tuple[int, tuple[int, int, int, int, int, int]]:
-        """(den, integer coefficients) with self = (sum of terms) / den.
+        """(den, nums): self = (sum of nums times their monomials) / den.
 
         Lets hot loops evaluate with plain integers: the value at (x, y) is an
-        integer exactly when den divides the integer combination.  Made once
-        per instance and kept in its __dict__, which equality, hashing and
-        repr do not read: they compare and show the six fields only.
+        integer exactly when den divides the integer combination.
         """
-        form = self.__dict__.get("_integer_form")
-        if form is None:
-            coeffs = self.coefficients()
-            den = lcm(*(c.denominator for c in coeffs))
-            form = den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
-            self.__dict__["_integer_form"] = form
-        return form
+        return self.den, self.nums
 
     def __str__(self) -> str:
         parts = []

@@ -274,10 +274,14 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     rule in y runs on a block of whole columns, about _BLOCK_POINTS values
     at a time, with y a point's index less its column's first index.
 
-    Every term and partial sum of Horner's rule, in x and in y, is at most
-    size * M^2 in magnitude, for size the largest sum of |coefficients| of
-    a scaled branch and M the largest x or y of the region (each at least
-    1).  The values are int32 when that bound, L and the point count (which
+    With M the largest x or y of the region (at least 1), a scaled branch
+    (a, b, c, d, e, g) over x^2, xy, y^2, x, y, 1 is bounded in magnitude by
+    (|a| + |b| + |c|)*M^2 + (|d| + |e|)*M + |g|.  That bounds every term and
+    partial sum of Horner's rule too: in x, |a*x + d| <= |a|*M + |d| and
+    |(a*x + d)*x + g| <= |a|*M^2 + |d|*M + |g|; in y, |c*y + b*x + e| <=
+    (|b| + |c|)*M + |e|, so its product with y is at most (|b| + |c|)*M^2 +
+    |e|*M, and adding the constant term gives at most the whole.  The
+    values are int32 when the largest bound, L and the point count (which
     bounds every point index) are all below _INT32_LIMIT, int64 when they
     are below 2^63, and Python ints in an object array otherwise.  Those
     take a pointer and an int object each, which the bound sizes: past
@@ -287,8 +291,9 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     table = [[scale // den * k for k in coeffs] for den, coeffs in forms]
     reach = max(len(tops) - 1, tops[-1], 1)
     points = sum(tops) + len(tops)
-    size = max(max(sum(map(abs, row)) for row in table), 1)
-    worst = max(scale, points, size * reach * reach)
+    bounds = (((abs(a) + abs(b) + abs(c)) * reach + abs(d) + abs(e)) * reach + abs(g)
+              for a, b, c, d, e, g in table)
+    worst = max(scale, points, *bounds)
     dtype = np.int32 if worst < _INT32_LIMIT else np.int64 if worst < 2 ** 63 else object
     per_value = 8 + sys.getsizeof(worst)  # a pointer and an int object of the bound's size
     if dtype is object and points * per_value > _OBJECT_BYTES:

@@ -371,8 +371,17 @@ class TestPlumbing:
          "prefix 250001 needs a region of 1000004 points, above the limit of 1000000"),
         (["search", "--slope", "1/3", "--prefix", "166667"],
          "prefix 166667 needs a region of 1000002 points, above the limit of 1000000"),
+        (["enumerate", "--slope", "1", "--order", "bogus", "--count", "3"],
+         "unknown order 'bogus' (choose from ['block-bottom-up', 'block-top-down', "
+         "'column-bottom-up', 'column-top-down', 'diagonal', 'residue-interleaved', "
+         "'reverse-diagonal'])"),
+        (["verify", "--poly", '{"period":1,"branches":{}}', "--slope", "1"],
+         "branches must be a list"),
+        (["verify", "--poly", '{"period":1,"branches":[3]}', "--slope", "1"],
+         "expected a JSON object for a polynomial, got 3"),
     ], ids=["layout-negative", "layout-past-maxsize", "enumerate-zero", "enumerate-order",
-            "verify-region", "search-region"])
+            "verify-region", "search-region", "enumerate-unknown-order", "verify-branches-object",
+            "verify-branch-not-object"])
     def test_error_opens_no_out_file(self, capsys, tmp_path, argv, message):
         target = tmp_path / "result.txt"
         assert run(capsys, *argv, "--out", str(target)) == (1, "", f"error: {message}\n")
@@ -633,6 +642,13 @@ class TestBoundedMemory:
         status, out, err = self.finish(*argv)
         assert (status, err) == (0, "")
         assert out.splitlines() == lines
+
+    def test_a_long_period_within_the_region_limit_passes(self):
+        # 400,000 branches, each its integer form alone, and values bounded
+        # monomial by monomial, which puts them on int64
+        status, out, err = self.finish("verify", "--family", "quasi:1/400000", "--prefix", "1",
+                                       timeout=120)
+        assert (status, out, err) == (0, "PASS pass (800000 points, columns 0..599999)\n", "")
 
     def test_a_long_period_is_refused_before_its_form_is_built(self):
         # the form has one branch per class: 2,000,000 of them would not fit

@@ -1,6 +1,7 @@
 import json
 import pickle
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ class TestAlgebra:
         assert 2 * x == x + x
         assert (x * y).degree == 2
         assert (x - x).degree == 0
+        assert -(x - 2 * y / 3) == QuadPoly(c10=-1, c01=Fraction(2, 3))
 
     def test_degree_cap(self):
         x = QuadPoly.x()
@@ -146,24 +148,29 @@ class TestIntegrality:
     def test_scaled_integer_form(self, coeffs):
         f = QuadPoly(*coeffs)
         den, ints = f.scaled_integer_form()
-        assert den >= 1 and [Fraction(k, den) for k in ints] == coeffs
-        for p in [(0, 0), (4, 1), (9, 3)]:
-            x, y = p
-            combo = (ints[0] * x * x + ints[1] * x * y + ints[2] * y * y
-                     + ints[3] * x + ints[4] * y + ints[5])
-            assert Fraction(combo, den) == f.evaluate(p)
+        assert den >= 1 and gcd(den, *ints) == 1
+        assert [Fraction(k, den) for k in ints] == coeffs == list(f.coefficients())
+        for x, y in [(0, 0), (4, 1), (9, 3), (-7, 5)]:
+            monomials = (x * x, x * y, y * y, x, y, 1)
+            combo = sum(k * m for k, m in zip(ints, monomials))
+            assert Fraction(combo, den) == sum(c * m for c, m in zip(coeffs, monomials)) \
+                == f.evaluate((x, y))
 
     def test_scaled_integer_form_is_made_once_and_stays_out_of_sight(self):
+        # the integer form is the whole state, made at construction: there is
+        # no instance dict to keep a copy in, and the record compares, hashes,
+        # pickles and prints the same however it was made
         f = H_32.branches[1]
         fresh = QuadPoly(*f.coefficients())
         before = (repr(fresh), hash(fresh), pickle.dumps(fresh))
-        form = fresh.scaled_integer_form()
-        assert fresh.scaled_integer_form() is form
-        assert (repr(fresh), hash(fresh)) == before[:2]
-        assert fresh == f and f == fresh
-        for copy in (pickle.loads(before[2]), pickle.loads(pickle.dumps(fresh))):
+        assert fresh.scaled_integer_form() == (fresh.den, fresh.nums)
+        assert not hasattr(fresh, "__dict__")
+        assert (repr(fresh), hash(fresh), pickle.dumps(fresh)) == before
+        assert before[0] == f"QuadPoly(den={fresh.den}, nums={fresh.nums})"
+        assert fresh == f and f == fresh and hash(fresh) == hash(f)
+        for copy in (pickle.loads(before[2]), pickle.loads(pickle.dumps(f))):
             assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
-            assert copy.scaled_integer_form() == form
+            assert copy.scaled_integer_form() == fresh.scaled_integer_form()
 
 
 class TestSerialization:
@@ -207,6 +214,10 @@ class TestSerialization:
     def test_rejects_malformed(self, text):
         with pytest.raises(PolySyntaxError):
             deserialize(text)
+
+    def test_serialize_refuses_a_non_polynomial(self):
+        with pytest.raises(TypeError, match=r"\Acannot serialize Fraction\Z"):
+            serialize(Fraction(1, 2))
 
     def test_rational_formatting(self):
         assert format_rational(Fraction(3, 1)) == "3"

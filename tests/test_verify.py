@@ -339,6 +339,23 @@ class TestColumnScan:
                         _walk_verdict(candidate, I1, prefix), (k, candidate, prefix)
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
+    def test_a_long_period_is_bounded_monomial_by_monomial(self, monkeypatch):
+        # the constant numerators of quasi_h(1, 40000) grow like ell^2; times
+        # M^2 = 59999^2 as well, they would pass 2^63 and put the values in
+        # Python ints, but each monomial's own bound keeps them on int64
+        column_layout = verify._column_layout
+        dtypes = []
+
+        def spy(tops, period, dtype):
+            dtypes.append(dtype)
+            return column_layout(tops, period, dtype)
+
+        monkeypatch.setattr(verify, "_column_layout", spy)
+        family = quasi_h(1, 40000)
+        verdict = verify_packing(family.form, family.sector, 1)
+        assert verdict == PackingVerdict(True, None, None, 59999, 80000)
+        assert dtypes == [np.int64]
+
     def test_int32_and_int64_values_agree_with_the_walk(self, monkeypatch):
         # as above, near 2^31: the values are int32 only under the bound, int64
         # past it; and branches over 2, 6 and 3 share the one divisor 6
