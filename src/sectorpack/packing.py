@@ -55,7 +55,6 @@ branch per class.  `Slope` and `PackingFamily` alone check the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, cycle, repeat
 from math import isqrt
@@ -151,7 +150,7 @@ class PackingFamily:
             const = 2 * period * (ell + top_down * period * (c - 1))
             nums = (g * e * e, -2 * g * e * d, g * d * d, e * (b - 2 * ell * g),
                     2 * d * ell * g - d * b + y2, g * ell * ell - b * ell + const)
-            branches.append(QuadPoly(*(Fraction(n, den) for n in nums)))
+            branches.append(QuadPoly._from_form(den, nums))
         if self.order is OrderKind.RESIDUE_INTERLEAVED:
             return QuasiPoly(period, tuple(branches))
         return branches[0]

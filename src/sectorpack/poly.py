@@ -4,10 +4,12 @@ QuadPoly holds a degree <= 2 polynomial in x and y as its integer form:
 six integer numerators, for x^2, xy, y^2, x, y and 1, over one denominator
 den >= 1, in lowest terms.  That form is its only state, so equal
 polynomials are equal records, and its coefficients are `fractions.Fraction`
-views of it.  The ring operations and composition with an integer linear
-map are expanded symbolically on those Fractions; evaluation reads the
-integers.  QuasiPoly is a family of m branches, the branch being selected
-by x mod m.
+views of it.  Six rationals enter through the constructor; an integer form
+enters through `QuadPoly._from_form` alone, which divides out the gcd of den
+and the numerators with no Fraction.  The ring operations and composition
+with an integer linear map are expanded symbolically on the Fractions;
+evaluation reads the integers.  QuasiPoly is a family of m branches, the
+branch being selected by x mod m.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .core import Point, SectorPackError, _to_int
@@ -75,6 +77,16 @@ class QuadPoly:
         return QuadPoly, self.coefficients()
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_form(cls, den: int, nums) -> "QuadPoly":
+        """(sum of the six nums times their monomials) / den, for den >= 1,
+        brought to lowest terms by dividing through by gcd(den, *nums)."""
+        k = gcd(den, *nums)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "den", den // k)
+        object.__setattr__(poly, "nums", tuple(n // k for n in nums))
+        return poly
 
     @staticmethod
     def constant(c: RationalLike) -> "QuadPoly":

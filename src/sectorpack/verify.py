@@ -106,7 +106,6 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -266,17 +265,23 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     """The values of the region's points in column order, exact.  Every
     value must be an integer (see _integer_valued).
 
-    The region is evaluated flat, with no rectangle and no mask.  Every
-    branch is scaled to L, the lcm of the branch denominators, so that one
-    division by the Python int L ends it.  Each column gathers the row of
-    its branch x mod p from the scaled table and takes its terms once
-    (_column_terms); np.repeat spreads them over its points, where Horner's
-    rule in y runs on a block of whole columns, about _BLOCK_POINTS values
-    at a time, with y a point's index less its column's first index.
+    The region is evaluated flat, with no rectangle and no mask.  Only the
+    branches that serve a column are read: the first min(p, columns) of a
+    period-p form.  Each is scaled to L, the lcm of their denominators, so
+    that one division by the Python int L ends it.  The scaled table is one
+    (branches, 6) array of their own numerator tuples times one array of
+    the factors L // den, so nothing is held per residue class beyond the
+    forms.  Each column gathers the row of its branch x mod p from it
+    and takes its terms once (_column_terms); np.repeat spreads them over
+    its points, where Horner's rule in y runs on a block of whole columns,
+    about _BLOCK_POINTS values at a time, with y a point's index less its
+    column's first index.
 
     With M the largest x or y of the region (at least 1), a scaled branch
     (a, b, c, d, e, g) over x^2, xy, y^2, x, y, 1 is bounded in magnitude by
-    (|a| + |b| + |c|)*M^2 + (|d| + |e|)*M + |g|.  That bounds every term and
+    (|a| + |b| + |c|)*M^2 + (|d| + |e|)*M + |g|, which is L // den times the
+    same bound on the branch's own numerators; a generator takes it class
+    by class, before the table is made.  That bounds every term and
     partial sum of Horner's rule too: in x, |a*x + d| <= |a|*M + |d| and
     |(a*x + d)*x + g| <= |a|*M^2 + |d|*M + |g|; in y, |c*y + b*x + e| <=
     (|b| + |c|)*M + |e|, so its product with y is at most (|b| + |c|)*M^2 +
@@ -287,20 +292,22 @@ def _column_values(forms: list, tops: tuple[int, ...]) -> np.ndarray:
     take a pointer and an int object each, which the bound sizes: past
     _OBJECT_BYTES in all, the region is refused before any is made.
     """
+    period, forms = len(forms), forms[:len(tops)]  # the branches that serve a column
     scale = math.lcm(*(den for den, _ in forms))
-    table = [[scale // den * k for k in coeffs] for den, coeffs in forms]
     reach = max(len(tops) - 1, tops[-1], 1)
     points = sum(tops) + len(tops)
-    bounds = (((abs(a) + abs(b) + abs(c)) * reach + abs(d) + abs(e)) * reach + abs(g)
-              for a, b, c, d, e, g in table)
-    worst = max(scale, points, *bounds)
+    bounds = ((((abs(a) + abs(b) + abs(c)) * reach + abs(d) + abs(e)) * reach + abs(g))
+              * (scale // den) for den, (a, b, c, d, e, g) in forms)
+    worst = max(scale, points, max(bounds))
     dtype = np.int32 if worst < _INT32_LIMIT else np.int64 if worst < 2 ** 63 else object
     per_value = 8 + sys.getsizeof(worst)  # a pointer and an int object of the bound's size
     if dtype is object and points * per_value > _OBJECT_BYTES:
         raise SectorPackError(f"values too large to hold: {points} points "
                               f"of up to {per_value} bytes each")
-    heights, firsts, xs, branches, blocks = _column_layout(tops, len(forms), dtype)
-    terms = _column_terms(np.array(list(zip(*table)), dtype=dtype).take(branches, axis=1), xs)
+    heights, firsts, xs, branches, blocks = _column_layout(tops, period, dtype)
+    table = (np.array([coeffs for _, coeffs in forms], dtype=dtype)
+             * np.array([scale // den for den, _ in forms], dtype=dtype)[:, None])
+    terms = _column_terms(table[branches].T, xs)
     columns = np.array([firsts, *terms], dtype=dtype)  # so that one np.repeat spreads all four
     values = np.empty(points, dtype=dtype)
     for x0, x1, start, stop in blocks:
@@ -691,10 +698,6 @@ def _search_chunk(task: tuple[list[tuple], int]) -> tuple[list[tuple[int, ...]],
     return out, ticks
 
 
-def _poly_from_numerators(nums: tuple[int, ...]) -> QuadPoly:
-    return QuadPoly(*(Fraction(k, 2) for k in nums))
-
-
 def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
                 workers: Optional[int],
                 progress: Optional[Callable[[int, int], None]]) -> SearchReport:
@@ -781,7 +784,7 @@ def _run_search(sector: Sector, degree: int, coeff_bound: int, prefix: int,
     # the vectorized screen.
     survivors = []
     for nums in sorted(found):
-        candidate = _poly_from_numerators(nums)
+        candidate = QuadPoly._from_form(2, nums)
         if verify_packing(candidate, sector, prefix).ok:
             survivors.append(candidate)
     return SearchReport(sector, degree, coeff_bound, prefix, tuple(survivors), True)

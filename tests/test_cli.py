@@ -643,12 +643,19 @@ class TestBoundedMemory:
         assert (status, err) == (0, "")
         assert out.splitlines() == lines
 
-    def test_a_long_period_within_the_region_limit_passes(self):
-        # 400,000 branches, each its integer form alone, and values bounded
-        # monomial by monomial, which puts them on int64
-        status, out, err = self.finish("verify", "--family", "quasi:1/400000", "--prefix", "1",
+    @pytest.mark.parametrize("family,verdict", [
+        ("quasi:1/400000", "PASS pass (800000 points, columns 0..599999)"),
+        ("quasi:1/500000", "PASS pass (1000000 points, columns 0..749999)"),
+        ("quasi:249999500001/500000", "PASS pass (1500000 points, columns 0..2)"),
+    ], ids=["400000-classes", "500000-classes", "500000-classes-3-columns"])
+    def test_a_long_period_within_the_region_limit_passes(self, family, verdict):
+        # each branch is its integer form alone, and verify's table is one array of
+        # the numerators of the branches that serve a column; 1/500000 is the longest
+        # period check_region accepts at prefix 1, with values bounded monomial by
+        # monomial on int64, and the steep one reads 3 of its branches, on Python ints
+        status, out, err = self.finish("verify", "--family", family, "--prefix", "1",
                                        timeout=120)
-        assert (status, out, err) == (0, "PASS pass (800000 points, columns 0..599999)\n", "")
+        assert (status, out, err) == (0, verdict + "\n", "")
 
     def test_a_long_period_is_refused_before_its_form_is_built(self):
         # the form has one branch per class: 2,000,000 of them would not fit

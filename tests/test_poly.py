@@ -172,6 +172,22 @@ class TestIntegrality:
             assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
             assert copy.scaled_integer_form() == fresh.scaled_integer_form()
 
+    @given(st.integers(1, 60), st.lists(st.integers(-50, 50), min_size=6, max_size=6),
+           st.integers(1, 12))
+    @example(1, [0] * 6, 1)
+    @example(60, [0] * 6, 1)
+    @example(60, [30, -12, 0, 6, 42, 18], 1)
+    @example(7, [10 ** 399 + 3, 0, -1, 0, 2, 5], 1)
+    def test_from_form_is_the_constructor_on_its_fractions(self, den, nums, common):
+        # a common factor of den and all six numerators is divided out with no
+        # Fraction, to the record that the six Fractions make
+        den, nums = den * common, tuple(n * common for n in nums)
+        f = QuadPoly._from_form(den, nums)
+        g = QuadPoly(*(Fraction(n, den) for n in nums))
+        assert (f.den, f.nums, repr(f), hash(f)) == (g.den, g.nums, repr(g), hash(g))
+        copy = pickle.loads(pickle.dumps(f))
+        assert (copy.den, copy.nums, repr(copy), hash(copy)) == (g.den, g.nums, repr(g), hash(g))
+
 
 class TestSerialization:
     def test_f1_printed_form(self):
